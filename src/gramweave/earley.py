@@ -7,6 +7,17 @@ Earley recognizer runs over the tokens, then one parse tree is extracted
 deterministically: earlier productions and earlier alternative branches
 are preferred, and nonterminal spans are tried shortest-first.
 
+Neither half recurses, so input size is bounded by memory only.  The
+recognizer indexes the items of each Earley set by the nonterminal they
+wait on, so a completion advances just those items.  Extraction reads
+split points from the chart instead of searching for them (Scott,
+*SPPF-style parsing from Earley recognisers*, 2008): each element takes
+the shortest end from which the rest of its production can still reach
+the end of its span.  Grammars in which a search for a nonterminal's
+span can come back to that same span keep a backtracking search, because
+there the cycle guard makes the chosen tree depend on the order of that
+search.
+
 The resulting tree mirrors the grammar's own shape.  Rule applications
 carry the defined symbol's node id and production index; alternatives,
 groups, and iterations appear as structural nodes; every leaf records
@@ -50,15 +61,16 @@ class ParseTree:
 
 def leaves(tree: ParseTree) -> List[ParseLeaf]:
     out: List[ParseLeaf] = []
-
-    def walk(node):
-        if isinstance(node, ParseLeaf):
-            out.append(node)
-            return
-        for c in node.children:
-            walk(c)
-
-    walk(tree.root)
+    stack = [iter((tree.root,))]  # per open node: its remaining children
+    while stack:
+        for node in stack[-1]:
+            if isinstance(node, ParseLeaf):
+                out.append(node)
+            else:
+                stack.append(iter(node.children))
+                break
+        else:
+            stack.pop()
     return out
 
 
@@ -70,39 +82,46 @@ def token_contexts(tree: ParseTree) -> List[Tuple[ParseLeaf, list]]:
     Rule applications contribute two links: the defined symbol and the
     chosen production.
     """
-    ranges: Dict[int, Tuple[int, int]] = {}
-    counter = [0]
-
-    def measure(node) -> Tuple[int, int]:
-        if isinstance(node, ParseLeaf):
-            lo = counter[0]
-            counter[0] += 1
+    root = tree.root
+    # first walk: where each node's range ends
+    his: Dict[int, int] = {}
+    count = 0
+    stack: list = [(root, iter(root.children))]
+    while stack:
+        node, kids = stack[-1]
+        for kid in kids:
+            if isinstance(kid, ParseLeaf):
+                count += 1
+            else:
+                stack.append((kid, iter(kid.children)))
+                break
         else:
-            lo = hi = counter[0]
-            for c in node.children:
-                _, hi = measure(c)
-        ranges[id(node)] = span = (lo, counter[0])
-        return span
-
-    measure(tree.root)
+            stack.pop()
+            his[id(node)] = count
+    # second walk: the chain of links enclosing the current node; each open
+    # node remembers how many links it added
     out: list = []
     chain: list = []
-
-    def collect(node):
-        lo, hi = ranges[id(node)]
-        if isinstance(node, ParseLeaf):
-            out.append((node, chain + [(node.gt_id, lo, hi)]))
-            return
-        gt_ids = [node.gt_id]
-        if node.kind == "rule":
-            gt_ids.append(node.production_id)
-        for gid in gt_ids:
-            chain.append((gid, lo, hi))
-        for c in node.children:
-            collect(c)
-        del chain[-len(gt_ids):]
-
-    collect(tree.root)
+    count = 0
+    stack = [(0, iter((root,)))]
+    while stack:
+        links, kids = stack[-1]
+        for node in kids:
+            if isinstance(node, ParseLeaf):
+                out.append((node, chain + [(node.gt_id, count, count + 1)]))
+                count += 1
+                continue
+            hi = his[id(node)]
+            chain.append((node.gt_id, count, hi))
+            if node.kind == "rule":
+                chain.append((node.production_id, count, hi))
+                stack.append((2, iter(node.children)))
+            else:
+                stack.append((1, iter(node.children)))
+            break
+        else:
+            stack.pop()
+            del chain[len(chain) - links:]
     return out
 
 
@@ -132,12 +151,48 @@ class _Compiled:
         self.prods: List[_Prod] = []
         self.by_lhs: Dict[tuple, List[_Prod]] = {}
         self.nullable: set = set()
+        self.cyclic = False  # a search may try a nonterminal below itself over one span
 
     def add(self, lhs, rhs, tag) -> _Prod:
         prod = _Prod(len(self.prods), lhs, tuple(rhs), tag)
         self.prods.append(prod)
         self.by_lhs.setdefault(lhs, []).append(prod)
         return prod
+
+    def number(self) -> None:
+        """Number nonterminals, terminal symbols and dotted productions.
+
+        A state is a production with a dot before one of its elements or
+        at its end.  The states of a production are consecutive, so
+        advancing the dot adds one; `starts[nt]` holds the first state of
+        each production of nonterminal `nt`, in order.  `after[state]` is
+        the nonterminal after the dot, the (negative) code of the terminal
+        symbol after it, or None when the dot is at the end.
+        """
+        self.rules = list(self.by_lhs.values())  # productions per nonterminal
+        self.nts: Dict[tuple, int] = {key: i for i, key in enumerate(self.by_lhs)}
+        self.codes: Dict[tuple, int] = {}
+        self.after: list = []
+        self.lhs: List[int] = []  # per state: its production's nonterminal
+        self.bit: List[int] = []  # per state: its production's bit within those
+        self.skip: List[bool] = []  # per state: the nonterminal after the dot is nullable
+        self.starts: List[List[int]] = []
+        for nt, prods in enumerate(self.rules):
+            self.starts.append([])
+            for index, prod in enumerate(prods):
+                self.starts[nt].append(len(self.after))
+                for elem in prod.rhs:
+                    if elem.sym[0] == "nt":
+                        self.after.append(self.nts[elem.sym[1]])
+                        self.skip.append(elem.sym[1] in self.nullable)
+                    else:
+                        self.after.append(self.codes.setdefault(elem.sym, -1 - len(self.codes)))
+                        self.skip.append(False)
+                self.after.append(None)
+                self.skip.append(False)
+                self.lhs += [nt] * (len(prod.rhs) + 1)
+                self.bit += [1 << index] * (len(prod.rhs) + 1)
+        self.display = {code: _sym_display(sym) for sym, code in self.codes.items()}
 
 
 def _compile(tree: g.GrammarTree) -> _Compiled:
@@ -207,6 +262,37 @@ def _compile(tree: g.GrammarTree) -> _Compiled:
             if all(e.sym[0] == "nt" and e.sym[1] in cg.nullable for e in prod.rhs):
                 cg.nullable.add(prod.lhs)
                 changed = True
+
+    # unit links: a production of K tries one of its nonterminals over K's
+    # whole span when the elements before it are nullable, whatever follows
+    # (a search derives each candidate before it looks at the rest); the
+    # extractor's cycle guard can fire only if these links form a cycle.
+    # A link from K to itself with a non-nullable rest (K : K ')' ...) only
+    # guards a candidate that could never complete, so it is left out.
+    def nullable(syms) -> bool:
+        return all(o[0] == "nt" and o[1] in cg.nullable for o in syms)
+
+    links: Dict[tuple, set] = {key: set() for key in cg.by_lhs}
+    for prod in cg.prods:
+        syms = [e.sym for e in prod.rhs]
+        for j, sym in enumerate(syms):
+            if sym[0] != "nt" or not nullable(syms[:j]):
+                continue
+            if sym[1] != prod.lhs or nullable(syms[j + 1:]):
+                links[prod.lhs].add(sym[1])
+    # peel off keys without incoming links; what remains lies on a cycle
+    incoming = {key: 0 for key in links}
+    for targets in links.values():
+        for key in targets:
+            incoming[key] += 1
+    free = [key for key, count in incoming.items() if count == 0]
+    while free:
+        for key in links.pop(free.pop()):
+            incoming[key] -= 1
+            if incoming[key] == 0:
+                free.append(key)
+    cg.cyclic = bool(links)
+    cg.number()
     return cg
 
 
@@ -214,162 +300,338 @@ def _compile(tree: g.GrammarTree) -> _Compiled:
 # Recognition
 
 
-def _matches(sym: tuple, token: Token) -> bool:
-    if sym[0] == "lit":
-        return token.terminal is None and token.text == sym[1]
-    return token.terminal == sym[1]
-
-
 def _sym_display(sym: tuple) -> str:
     return f"'{sym[1]}'" if sym[0] == "lit" else sym[1]
 
 
-def _recognize(cg: _Compiled, start_key: tuple, tokens: List[Token]):
+def _token_codes(cg: _Compiled, tokens: List[Token]) -> List[int]:
+    """The terminal code each token matches, or 0 when it matches none."""
+    codes = cg.codes
+    return [codes.get(("lit", t.text) if t.terminal is None else ("term", t.terminal), 0)
+            for t in tokens]
+
+
+def _recognize(cg: _Compiled, start: int, tokens: List[Token], codes: List[int]):
+    """Run the recognizer; return the chart's completions or raise ParseError.
+
+    Completions come back as two tables over nonterminal indexes:
+    `ends[nt * (n + 1) + origin]` maps each end, in ascending order, to
+    the bit set of the nonterminal's productions that derive the tokens
+    from origin to that end, and `origins[end][nt]` lists those origins.
+    Items are (state, origin) pairs; an Earley set is dropped once the
+    next one is built, and only the items waiting on a nonterminal stay,
+    indexed by that nonterminal, until the parse ends.
+    """
+    after, lhs, bit, skip, starts = cg.after, cg.lhs, cg.bit, cg.skip, cg.starts
     n = len(tokens)
-    chart: List[dict] = [dict() for _ in range(n + 1)]
-    completed: Dict[Tuple[int, int], set] = {}
-    expected: List[set] = [set() for _ in range(n + 1)]
-
-    def add(i: int, state: tuple):
-        chart[i].setdefault(state, None)
-
-    for prod in cg.by_lhs.get(start_key, ()):
-        add(0, (prod.pid, 0, 0))
-    for i in range(n + 1):
-        queue = list(chart[i])
-        qi = 0
-        while qi < len(queue):
-            pid, dot, origin = queue[qi]
-            qi += 1
-            prod = cg.prods[pid]
-            if dot < len(prod.rhs):
-                sym = prod.rhs[dot].sym
-                if sym[0] == "nt":
-                    for p in cg.by_lhs.get(sym[1], ()):
-                        st = (p.pid, 0, i)
-                        if st not in chart[i]:
-                            add(i, st)
-                            queue.append(st)
-                    if sym[1] in cg.nullable:
-                        st = (pid, dot + 1, origin)
-                        if st not in chart[i]:
-                            add(i, st)
-                            queue.append(st)
+    width = n + 1
+    ends: Dict[int, Dict[int, int]] = {}
+    origins: List[Dict[int, List[int]]] = []
+    waiters: List[Dict[int, list]] = []  # per set: nonterminal -> advanced items
+    items = [(s, 0) for s in starts[start]]
+    for i in range(width):
+        seen = set(items)
+        waiting: Dict[int, list] = {}
+        waiters.append(waiting)
+        done: Dict[int, List[int]] = {}
+        origins.append(done)
+        code = codes[i] if i < n else 0
+        scanned = []
+        for state, origin in items:  # items grows while it is walked
+            a = after[state]
+            if a is None:
+                nt = lhs[state]
+                key = nt * width + origin
+                row = ends.get(key)
+                if row is None:
+                    row = ends[key] = {}
+                mask = row.get(i)
+                if mask is not None:  # an earlier production already advanced the waiters
+                    row[i] = mask | bit[state]
+                    continue
+                row[i] = bit[state]
+                done.setdefault(nt, []).append(origin)
+                for item in waiters[origin].get(nt, ()):
+                    if item not in seen:
+                        seen.add(item)
+                        items.append(item)
+            elif a >= 0:
+                item = (state + 1, origin)
+                wait = waiting.get(a)
+                if wait is None:
+                    waiting[a] = [item]
+                    for s in starts[a]:
+                        st = (s, i)
+                        if st not in seen:
+                            seen.add(st)
+                            items.append(st)
                 else:
-                    expected[i].add(_sym_display(sym))
-                    if i < n and _matches(sym, tokens[i]):
-                        add(i + 1, (pid, dot + 1, origin))
-            else:
-                completed.setdefault((pid, origin), set()).add(i)
-                for (pid2, dot2, origin2) in list(chart[origin]):
-                    p2 = cg.prods[pid2]
-                    if dot2 < len(p2.rhs) and p2.rhs[dot2].sym == ("nt", prod.lhs):
-                        st = (pid2, dot2 + 1, origin2)
-                        if st not in chart[i]:
-                            add(i, st)
-                            queue.append(st)
-    return chart, completed, expected
+                    wait.append(item)
+                # a nullable nonterminal may already have completed here
+                # (Aycock & Horspool, Practical Earley Parsing, 2002)
+                if skip[state] and item not in seen:
+                    seen.add(item)
+                    items.append(item)
+            elif a == code:
+                scanned.append((state + 1, origin))
+        if not scanned:
+            break
+        items = scanned
+    if i == n and n in ends.get(start * width, ()):
+        return ends, origins
+    if i < n:
+        position = tokens[i].span[0]
+        what = f"unexpected {tokens[i].display}"
+    else:
+        position = tokens[-1].span[1] if tokens else 0
+        what = "unexpected end of input"
+    expected = {cg.display[after[s]] for s, _ in items
+                if after[s] is not None and after[s] < 0}
+    raise ParseError(what, position, tuple(sorted(expected)))
 
 
 # ---------------------------------------------------------------------------
 # Deterministic extraction
 
+_NODE_KIND = {"rule": "rule", "branch": "alt", "group": "seq", "empty": "empty",
+              "iter_empty": "iter", "iter_one": "iter"}
 
-@dataclass
-class _DTree:
-    prod: _Prod
-    parts: list  # per rhs element: token index or nested _DTree
+
+def _make_node(tag: tuple, parts: list) -> ParseNode:
+    """The node for a production other than an iteration step."""
+    if tag[0] == "rule":
+        return ParseNode("rule", tag[1], parts, tag[2], tag[3])
+    return ParseNode(_NODE_KIND[tag[0]], tag[1], parts)
+
+
+def _copy(node: ParseNode) -> ParseNode:
+    """A fresh copy of a parse subtree; leaves are immutable and stay shared."""
+    top = ParseNode(node.kind, node.gt_id, list(node.children),
+                    node.production_index, node.production_id)
+    stack = [top]
+    while stack:
+        kids = stack.pop().children
+        for j, kid in enumerate(kids):
+            if isinstance(kid, ParseNode):
+                kids[j] = kid = ParseNode(kid.kind, kid.gt_id, list(kid.children),
+                                          kid.production_index, kid.production_id)
+                stack.append(kid)
+    return top
 
 
 class _Extractor:
-    def __init__(self, cg: _Compiled, completed, tokens):
+    """Picks one derivation per nonterminal span and builds its nodes.
+
+    The preferred derivation of a span takes the first production that
+    derives it, and within it, from left to right, the shortest span of
+    each element that lets the rest of the production complete.  A span
+    that is already being derived further up would be a cyclic unit
+    derivation: it fails (a guard hit) and the search tries another shape.
+    Both extractors below keep pending derivations on an explicit stack.
+    """
+
+    def __init__(self, cg: _Compiled, tokens, codes, ends, origins):
         self.cg = cg
-        self.completed = completed
         self.tokens = tokens
-        self.memo: dict = {}
+        self.codes = codes
+        self.ends = ends
+        self.origins = origins
+        self.width = len(tokens) + 1
+        self.memo: dict = {}  # (nt, lo, hi) -> node, or None for a failure
         self.active: set = set()
         self.guard_hits = 0
 
-    def ends(self, key: tuple, start: int) -> List[int]:
-        out = set()
-        for prod in self.cg.by_lhs.get(key, ()):
-            out |= self.completed.get((prod.pid, start), set())
-        return sorted(out)
+    # -- grammars without unit cycles ---------------------------------------
 
-    def derive(self, key: tuple, lo: int, hi: int) -> Optional[_DTree]:
-        memo_key = (key, lo, hi)
-        if memo_key in self.memo:
-            return self.memo[memo_key]
-        if memo_key in self.active:
-            # cyclic unit derivation; fail this path, try another shape
-            self.guard_hits += 1
-            return None
-        self.active.add(memo_key)
-        before = self.guard_hits
-        result = None
-        for prod in self.cg.by_lhs.get(key, ()):
-            if hi not in self.completed.get((prod.pid, lo), ()):
+    def build(self, start: int) -> ParseNode:
+        """Extract for a grammar without unit cycles (`_Compiled.cyclic`).
+
+        A search there fires the guard at most on a production's own
+        left-recursive candidate that could never complete (K : K ')' over
+        all of K's span), so every span the chart completes has a derivation
+        and the tree does not depend on the search's order.  Nothing
+        backtracks: each element takes the shortest end from which the rest
+        of the production can still reach the end of its span, read off the
+        chart by `viable`.
+        """
+        cg, tokens, ends, width = self.cg, self.tokens, self.ends, self.width
+        after, rules, starts, bit = cg.after, cg.rules, cg.starts, cg.bit
+        viable = self.viable
+
+        def open_frame(nt: int, lo: int, hi: int) -> list:
+            mask = ends[nt * width + lo][hi]
+            for prod, state in zip(rules[nt], starts[nt]):
+                if mask & bit[state]:
+                    m = len(prod.rhs)
+                    reach = viable(state, m, lo, hi) if m > 1 else None
+                    return [prod, state, reach, [], lo, hi]
+
+        # frame: production, its first state, viable positions, the parts
+        # found so far, the position after them and the end of the span
+        stack = [open_frame(start, 0, width - 1)]
+        while True:
+            frame = stack[-1]
+            prod, state, reach, parts, pos, hi = frame
+            rhs = prod.rhs
+            k = len(parts)
+            while k < len(rhs) and after[state + k] < 0:
+                parts.append(ParseLeaf(rhs[k].gt_id, tokens[pos]))
+                pos += 1
+                k += 1
+            if k < len(rhs):
+                a = after[state + k]
+                if k + 1 == len(rhs):
+                    end = hi
+                else:
+                    row, targets = ends[a * width + pos], reach[k + 1]
+                    if len(row) <= len(targets):
+                        end = next(e for e in row if e in targets)
+                    else:
+                        end = min(e for e in targets if e in row)
+                frame[4] = end
+                stack.append(open_frame(a, pos, end))
                 continue
-            parts = self.split(prod.rhs, 0, lo, hi)
-            if parts is not None:
-                result = _DTree(prod, parts)
-                break
-        self.active.discard(memo_key)
-        # a failure observed while a cycle guard fired anywhere below is
-        # context-dependent and must not be cached
-        if result is not None or self.guard_hits == before:
-            self.memo[memo_key] = result
-        return result
+            if prod.tag[0] == "iter_step":  # nothing else holds the spine
+                node = parts[0]
+                node.children.append(parts[1])
+            else:
+                node = _make_node(prod.tag, parts)
+            stack.pop()
+            if not stack:
+                return node
+            parent = stack[-1]
+            elem = parent[0].rhs[len(parent[3])]
+            parent[3].append(ParseNode("ref", elem.gt_id, [node])
+                             if elem.sym[1][0] == "def" else node)
 
-    def split(self, rhs, k: int, pos: int, hi: int) -> Optional[list]:
-        if k == len(rhs):
-            return [] if pos == hi else None
-        elem = rhs[k]
-        if elem.sym[0] != "nt":
-            if pos < hi and _matches(elem.sym, self.tokens[pos]):
-                rest = self.split(rhs, k + 1, pos + 1, hi)
-                if rest is not None:
-                    return [pos] + rest
-            return None
-        for end in self.ends(elem.sym[1], pos):
-            if end > hi:
-                break
-            sub = self.derive(elem.sym[1], pos, end)
-            if sub is None:
+    def viable(self, state: int, m: int, lo: int, hi: int) -> list:
+        """Per element k > 0 of the production, the positions from which
+        elements k.. derive the tokens up to hi."""
+        after, codes, origins = self.cg.after, self.codes, self.origins
+        out = [None] * (m + 1)
+        out[m] = reach = {hi}
+        for k in range(m - 1, 0, -1):
+            a = after[state + k]
+            found = set()
+            if a < 0:
+                for q in reach:
+                    if q > lo and codes[q - 1] == a:
+                        found.add(q - 1)
+            else:
+                for q in reach:
+                    for o in origins[q].get(a, ()):
+                        if o >= lo:
+                            found.add(o)
+            out[k] = reach = found
+        return out
+
+    # -- grammars with unit cycles ------------------------------------------
+
+    def search(self, start: int) -> Optional[ParseNode]:
+        """Extract by backtracking search, for grammars with unit cycles.
+
+        Where the guard can fire, a memoised derivation may depend on the
+        spans being derived around it, so every end is tried in the order
+        of a plain depth-first search, which fixes the trees it picks.
+        Each `derive` is a generator that yields the spans it needs and
+        receives their nodes.  Memoised nodes are shared and never changed
+        afterwards; only a span of no tokens can occur twice in one tree,
+        so only those are copied.
+        """
+        stack = [self.derive(start, 0, self.width - 1, guarded=False)]
+        value = None
+        while True:
+            try:
+                request = stack[-1].send(value)
+            except StopIteration as stop:
+                stack.pop()
+                if not stack:
+                    return stop.value
+                value = stop.value
+            else:
+                stack.append(self.derive(*request))
+                value = None
+
+    def candidates(self, a: int, pos: int, hi: int) -> list:
+        """Ends of element `a` from pos up to hi, longest first."""
+        if a < 0:
+            return [pos + 1] if pos < hi and self.codes[pos] == a else []
+        found = [e for e in self.ends.get(a * self.width + pos, ()) if e <= hi]
+        found.reverse()
+        return found
+
+    def derive(self, nt: int, lo: int, hi: int, guarded: bool = True):
+        cg, tokens, memo, active = self.cg, self.tokens, self.memo, self.active
+        after = cg.after
+        key = (nt, lo, hi)
+        if guarded:
+            active.add(key)
+            before = self.guard_hits
+        mask = self.ends[nt * self.width + lo][hi]
+        node = None
+        for prod, state in zip(cg.rules[nt], cg.starts[nt]):
+            if not mask & cg.bit[state]:
                 continue
-            rest = self.split(rhs, k + 1, end, hi)
-            if rest is not None:
-                return [sub] + rest
-        return None
-
-
-def _to_parse_tree(dt: _DTree, tokens: List[Token]):
-    tag = dt.prod.tag
-
-    def elem_node(elem: _Elem, part):
-        if elem.sym[0] != "nt":
-            return ParseLeaf(elem.gt_id, tokens[part])
-        sub = _to_parse_tree(part, tokens)
-        if elem.sym[1][0] == "def":
-            return ParseNode("ref", elem.gt_id, [sub])
-        return sub
-
-    parts = [elem_node(e, p) for e, p in zip(dt.prod.rhs, dt.parts)]
-    if tag[0] == "rule":
-        return ParseNode("rule", tag[1], parts,
-                         production_index=tag[2], production_id=tag[3])
-    if tag[0] == "branch":
-        return ParseNode("alt", tag[1], parts)
-    if tag[0] == "group":
-        return ParseNode("seq", tag[1], parts)
-    if tag[0] == "empty":
-        return ParseNode("empty", tag[1], [])
-    if tag[0] == "iter_step":
-        node = parts[0]  # the recursive spine, already an iter node
-        node.children.append(parts[1])
+            rhs = prod.rhs
+            m = len(rhs)
+            parts: list = []
+            if m:
+                # per element tried: its remaining ends and its start
+                cands = [self.candidates(after[state], lo, hi)]
+                at = [lo]
+                while cands:
+                    todo = cands[-1]
+                    if not todo:
+                        cands.pop()
+                        at.pop()
+                        if parts:
+                            parts.pop()
+                        continue
+                    end = todo.pop()
+                    k = len(parts)
+                    pos = at[-1]
+                    a = after[state + k]
+                    elem = rhs[k]
+                    if a < 0:
+                        part = ParseLeaf(elem.gt_id, tokens[pos])
+                    else:
+                        span = (a, pos, end)
+                        if span in memo:
+                            sub = memo[span]
+                            if sub is not None and pos == end:
+                                sub = _copy(sub)
+                        elif span in active:
+                            self.guard_hits += 1
+                            sub = None
+                        else:
+                            sub = yield span
+                        if sub is None:
+                            continue
+                        part = ParseNode("ref", elem.gt_id, [sub]) \
+                            if elem.sym[1][0] == "def" else sub
+                    if k + 1 == m:
+                        if end == hi:
+                            parts.append(part)
+                            break
+                        continue
+                    parts.append(part)
+                    cands.append(self.candidates(after[state + k + 1], end, hi))
+                    at.append(end)
+                else:
+                    continue
+            if prod.tag[0] == "iter_step":  # leave the memoised spine as it is
+                spine, step = parts
+                node = ParseNode("iter", prod.tag[1], spine.children + [step])
+            else:
+                node = _make_node(prod.tag, parts)
+            break
+        if guarded:
+            active.discard(key)
+            # a failure observed while a cycle guard fired anywhere below is
+            # context-dependent and must not be cached
+            if node is not None or self.guard_hits == before:
+                memo[key] = node
         return node
-    # iter_empty / iter_one
-    return ParseNode("iter", tag[1], parts)
 
 
 def parse_input(tree: g.GrammarTree, start: str, tokens: List[Token]) -> ParseTree:
@@ -378,29 +640,11 @@ def parse_input(tree: g.GrammarTree, start: str, tokens: List[Token]) -> ParseTr
         raise NotationError(f"start symbol '{start}' is not a defined rule",
                             tree.origin)
     cg = _compile(tree)
-    start_key = ("def", tree.rule_index[start].id)
-    chart, completed, expected = _recognize(cg, start_key, tokens)
-    n = len(tokens)
-    ok = any(n in completed.get((p.pid, 0), ())
-             for p in cg.by_lhs.get(start_key, ()))
-    if not ok:
-        furthest = max(i for i in range(n + 1) if chart[i])
-        if furthest < n:
-            position = tokens[furthest].span[0]
-            what = f"unexpected {tokens[furthest].display}"
-        else:
-            position = tokens[-1].span[1] if tokens else 0
-            what = "unexpected end of input"
-        raise ParseError(what, position, tuple(sorted(expected[furthest])))
-    extractor = _Extractor(cg, completed, tokens)
-    dt = None
-    for prod in cg.by_lhs.get(start_key, ()):
-        if n in completed.get((prod.pid, 0), ()):
-            parts = extractor.split(prod.rhs, 0, 0, n)
-            if parts is not None:
-                dt = _DTree(prod, parts)
-                break
-    if dt is None:
+    start_nt = cg.nts[("def", tree.rule_index[start].id)]
+    codes = _token_codes(cg, tokens)
+    ends, origins = _recognize(cg, start_nt, tokens, codes)
+    extractor = _Extractor(cg, tokens, codes, ends, origins)
+    root = extractor.search(start_nt) if cg.cyclic else extractor.build(start_nt)
+    if root is None:
         raise ParseError("ambiguity extraction failed", 0, ())
-    root = _to_parse_tree(dt, tokens)
     return ParseTree(root, tree, tokens)

@@ -117,12 +117,15 @@ class _Defaults:
 
 def _programs(chain, index: int, store: AnnotationStore,
               defaults: _Defaults) -> Tuple[WhitespaceProgram, WhitespaceProgram]:
+    # ranges nest, so the nodes whose range starts here, and those whose
+    # range ends here, are suffixes of the chain
+    first = len(chain) - 1
+    while first > 0 and chain[first - 1][1] == index:
+        first -= 1
     # before: outermost to innermost over nodes whose range starts here
     before: List[object] = []
     explicit_before = False
-    for gid, lo, _hi in chain:
-        if lo != index:
-            continue
+    for gid, _lo, _hi in chain[first:]:
         prog = _decode_attr(_find_attr(store.annotation_for(gid), "before"))
         if prog is not None:
             explicit_before = True
@@ -132,7 +135,7 @@ def _programs(chain, index: int, store: AnnotationStore,
     explicit_after = False
     for gid, _lo, hi in reversed(chain):
         if hi != index + 1:
-            continue
+            break
         prog = _decode_attr(_find_attr(store.annotation_for(gid), "after"))
         if prog is not None:
             explicit_after = True

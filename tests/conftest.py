@@ -57,3 +57,14 @@ def pretty_store(java5, pretty_aspect):
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return FIXTURES
+
+
+@pytest.fixture()
+def default_recursion_limit():
+    """Run the test at CPython's default recursion limit."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)

@@ -9,11 +9,12 @@ interprets whitespace programs with its own event loop.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 from gramweave import grammar as G
 from gramweave.annotations import NameValue, SeqValue, StrValue
-from gramweave.earley import token_contexts
+from gramweave.earley import ParseLeaf, ParseNode, _compile, token_contexts
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -123,6 +124,198 @@ def oracle_accepts(tree: G.GrammarTree, start: str, tokens) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Tree oracle: the earlier recursive recognizer and extractor, kept here to
+# check that the chart-guided extractor picks the same tree.  It shares
+# only the compiled grammar (`earley._compile`) with the parser.  It tries
+# every end of every nonterminal shortest-first, backtracks, and recurses
+# once per token, so feed it only small inputs.
+
+
+def _oracle_matches(sym: tuple, token) -> bool:
+    if sym[0] == "lit":
+        return token.terminal is None and token.text == sym[1]
+    return token.terminal == sym[1]
+
+
+def _oracle_recognize(cg, start_key: tuple, tokens):
+    n = len(tokens)
+    chart = [dict() for _ in range(n + 1)]
+    completed = {}
+
+    for prod in cg.by_lhs.get(start_key, ()):
+        chart[0].setdefault((prod.pid, 0, 0), None)
+    for i in range(n + 1):
+        queue = list(chart[i])
+        qi = 0
+        while qi < len(queue):
+            pid, dot, origin = queue[qi]
+            qi += 1
+            prod = cg.prods[pid]
+            if dot < len(prod.rhs):
+                sym = prod.rhs[dot].sym
+                if sym[0] == "nt":
+                    for p in cg.by_lhs.get(sym[1], ()):
+                        st = (p.pid, 0, i)
+                        if st not in chart[i]:
+                            chart[i].setdefault(st, None)
+                            queue.append(st)
+                    if sym[1] in cg.nullable:
+                        st = (pid, dot + 1, origin)
+                        if st not in chart[i]:
+                            chart[i].setdefault(st, None)
+                            queue.append(st)
+                elif i < n and _oracle_matches(sym, tokens[i]):
+                    chart[i + 1].setdefault((pid, dot + 1, origin), None)
+            else:
+                completed.setdefault((pid, origin), set()).add(i)
+                for (pid2, dot2, origin2) in list(chart[origin]):
+                    p2 = cg.prods[pid2]
+                    if dot2 < len(p2.rhs) and p2.rhs[dot2].sym == ("nt", prod.lhs):
+                        st = (pid2, dot2 + 1, origin2)
+                        if st not in chart[i]:
+                            chart[i].setdefault(st, None)
+                            queue.append(st)
+    return completed
+
+
+@dataclass
+class _DTree:
+    prod: object
+    parts: list  # per rhs element: token index or nested _DTree
+
+
+class _OracleExtractor:
+    def __init__(self, cg, completed, tokens):
+        self.cg = cg
+        self.completed = completed
+        self.tokens = tokens
+        self.memo = {}
+        self.active = set()
+        self.guard_hits = 0
+
+    def ends(self, key: tuple, start: int):
+        out = set()
+        for prod in self.cg.by_lhs.get(key, ()):
+            out |= self.completed.get((prod.pid, start), set())
+        return sorted(out)
+
+    def derive(self, key: tuple, lo: int, hi: int):
+        memo_key = (key, lo, hi)
+        if memo_key in self.memo:
+            return self.memo[memo_key]
+        if memo_key in self.active:
+            self.guard_hits += 1
+            return None
+        self.active.add(memo_key)
+        before = self.guard_hits
+        result = None
+        for prod in self.cg.by_lhs.get(key, ()):
+            if hi not in self.completed.get((prod.pid, lo), ()):
+                continue
+            parts = self.split(prod.rhs, 0, lo, hi)
+            if parts is not None:
+                result = _DTree(prod, parts)
+                break
+        self.active.discard(memo_key)
+        if result is not None or self.guard_hits == before:
+            self.memo[memo_key] = result
+        return result
+
+    def split(self, rhs, k: int, pos: int, hi: int):
+        if k == len(rhs):
+            return [] if pos == hi else None
+        elem = rhs[k]
+        if elem.sym[0] != "nt":
+            if pos < hi and _oracle_matches(elem.sym, self.tokens[pos]):
+                rest = self.split(rhs, k + 1, pos + 1, hi)
+                if rest is not None:
+                    return [pos] + rest
+            return None
+        for end in self.ends(elem.sym[1], pos):
+            if end > hi:
+                break
+            sub = self.derive(elem.sym[1], pos, end)
+            if sub is None:
+                continue
+            rest = self.split(rhs, k + 1, end, hi)
+            if rest is not None:
+                return [sub] + rest
+        return None
+
+
+def _oracle_tree(dt: _DTree, tokens):
+    tag = dt.prod.tag
+
+    def elem_node(elem, part):
+        if elem.sym[0] != "nt":
+            return ParseLeaf(elem.gt_id, tokens[part])
+        sub = _oracle_tree(part, tokens)
+        if elem.sym[1][0] == "def":
+            return ParseNode("ref", elem.gt_id, [sub])
+        return sub
+
+    parts = [elem_node(e, p) for e, p in zip(dt.prod.rhs, dt.parts)]
+    if tag[0] == "rule":
+        return ParseNode("rule", tag[1], parts,
+                         production_index=tag[2], production_id=tag[3])
+    if tag[0] == "branch":
+        return ParseNode("alt", tag[1], parts)
+    if tag[0] == "group":
+        return ParseNode("seq", tag[1], parts)
+    if tag[0] == "empty":
+        return ParseNode("empty", tag[1], [])
+    if tag[0] == "iter_step":
+        node = parts[0]
+        node.children.append(parts[1])
+        return node
+    return ParseNode("iter", tag[1], parts)
+
+
+def oracle_parse(tree: G.GrammarTree, start: str, tokens):
+    """The earlier parser's tree root for tokens, or None if rejected."""
+    cg = _compile(tree)
+    start_key = ("def", tree.rule_index[start].id)
+    completed = _oracle_recognize(cg, start_key, tokens)
+    n = len(tokens)
+    extractor = _OracleExtractor(cg, completed, tokens)
+    for prod in cg.by_lhs.get(start_key, ()):
+        if n in completed.get((prod.pid, 0), ()):
+            parts = extractor.split(prod.rhs, 0, 0, n)
+            if parts is not None:
+                return _oracle_tree(_DTree(prod, parts), tokens)
+    return None
+
+
+def tree_difference(got, want):
+    """Where two parse trees differ, node for node, or None if they agree.
+
+    Walks both trees with an explicit stack, so deep trees compare too, and
+    reports any node object that appears twice in `got`.
+    """
+    seen = set()
+    stack = [(got, want, "root")]
+    while stack:
+        a, b, path = stack.pop()
+        if isinstance(a, ParseNode):
+            if id(a) in seen:
+                return f"{path}: node shared with another place in the tree"
+            seen.add(id(a))
+        if type(a) is not type(b):
+            return f"{path}: {type(a).__name__} != {type(b).__name__}"
+        if isinstance(a, ParseLeaf):
+            if a != b:
+                return f"{path}: {a} != {b}"
+            continue
+        here = (a.kind, a.gt_id, a.production_index, a.production_id, len(a.children))
+        there = (b.kind, b.gt_id, b.production_index, b.production_id, len(b.children))
+        if here != there:
+            return f"{path}: {here} != {there}"
+        for i, (x, y) in enumerate(zip(a.children, b.children)):
+            stack.append((x, y, f"{path}/{i}"))
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Reference pretty-printer: flatten everything into an event list, then run
 # a character loop with explicit line handling.
 
@@ -226,6 +419,28 @@ def reference_format(tree, store) -> str:
             out = out[:-1]
         out += "\n"
     return out
+
+
+# ---------------------------------------------------------------------------
+# Large inputs for the fixture grammars.
+
+_MEMBER_SHAPES = ["int f{} ;", "List<String> f{} ;", "Map<K, List<V>>[] f{} ;",
+                  "a.b.C<? extends T> f{} ;", "T[][] f{} ;", "double f{} ;"]
+
+
+def java_class_text(members: int) -> str:
+    """A java5.g class whose body declares `members` fields of varied types."""
+    body = "\n".join("    " + _MEMBER_SHAPES[i % len(_MEMBER_SHAPES)].format(i)
+                     for i in range(members))
+    return f"class Big<T> extends Base<T> {{\n{body}\n}}\n"
+
+
+def nested_arith_text(depth: int) -> str:
+    return "(" * depth + "1" + ")" * depth
+
+
+def chain_arith_text(terms: int) -> str:
+    return "+".join(["1"] * terms)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ import re
 
 import pytest
 
-from gramweave import strip_ansi
+from gramweave import parse_input, strip_ansi, tokenize
 from gramweave.cli import main
-from support import FIXTURES, fixture
+from support import (FIXTURES, fixture, java_class_text, nested_arith_text,
+                     reference_format)
 
 JAVA5 = str(FIXTURES / "java5.g")
 ARITH = str(FIXTURES / "arith.g")
@@ -210,6 +211,15 @@ class TestHighlight:
         assert code == 2
         assert "start symbol 'nope' is not a defined rule" in err
 
+    def test_deep_nesting(self, capsys, tmp_path, empty_aspect,
+                          default_recursion_limit):
+        src = tmp_path / "deep.txt"
+        src.write_text(nested_arith_text(1000), encoding="utf-8")
+        code, out, err = run(capsys, "highlight", ARITH, str(src),
+                             "-a", empty_aspect, "--lexer", ARITH_LEX)
+        assert (code, err) == (0, "")
+        assert strip_ansi(out) == nested_arith_text(1000)
+
     def test_failed_run_writes_nothing(self, capsys, tmp_path):
         src = tmp_path / "bad.java"
         src.write_text("class class\n", encoding="utf-8")
@@ -258,3 +268,15 @@ class TestFormat:
                            "-a", str(bad), "--lexer", ARITH_LEX)
         assert code == 1
         assert "attribute 'after'" in err
+
+    def test_large_class_body(self, capsys, tmp_path, java5, java_lexer,
+                              pretty_store, default_recursion_limit):
+        text = java_class_text(1000)
+        src = tmp_path / "big.java"
+        src.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "format", JAVA5, str(src),
+                             "-a", PRETTY, "--lexer", JAVA_LEX)
+        assert (code, err) == (0, "")
+        tree = parse_input(java5, "normalClassDeclaration",
+                           tokenize(java_lexer, java5, text))
+        assert out == reference_format(tree, pretty_store)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,8 +7,10 @@ from gramweave import (LexError, NotationError, ParseError, Token, leaves,
                        parse_grammar, parse_input, parse_lexer_spec,
                        serialize_grammar, token_contexts, tokenize)
 from gramweave.grammar import literal_texts
+from gramweave.earley import _compile
 from support import (LanguageTooLarge, enumerate_language, fixture,
-                     oracle_accepts, random_grammar, token_shape)
+                     oracle_accepts, oracle_parse, random_grammar, token_shape,
+                     tree_difference)
 
 
 class TestLexerSpec:
@@ -281,6 +284,99 @@ class TestRecognitionOracle:
                 assert [l.token for l in leaves(pt)] == tokens
                 checked += 1
         assert checked >= 60
+
+
+class TestTreeOracle:
+    """Differential test: extraction against the earlier recursive extractor."""
+
+    def assert_same(self, tree, start, tokens):
+        want = oracle_parse(tree, start, tokens)
+        if want is None:
+            with pytest.raises(ParseError):
+                parse_input(tree, start, tokens)
+            return False
+        got = parse_input(tree, start, tokens).root
+        difference = tree_difference(got, want)
+        assert difference is None, (serialize_grammar(tree), start,
+                                    token_shape(tokens), difference)
+        return True
+
+    def test_randomized(self):
+        rng = random.Random(20240818)
+        compared = 0
+        cyclic = set()
+        for _ in range(60):
+            tree = random_grammar(rng)
+            start = tree.root.children[0].detail
+            alphabet = sorted({("lit", t) for t in literal_texts(tree)} |
+                              {("term", n) for n in terminal_names(tree)})
+            shapes = [()]
+            if alphabet:
+                shapes += [tuple(rng.choice(alphabet)
+                                 for _ in range(rng.randint(0, 5)))
+                           for _ in range(3)]
+            try:
+                language = enumerate_language(tree, start, max_len=5, cap=2000)
+            except LanguageTooLarge:
+                continue
+            shapes.extend(sample_shapes(rng, language, 6))
+            for shape in shapes:
+                if self.assert_same(tree, start, tokens_for(shape)):
+                    compared += 1
+                    cyclic.add(_compile(tree).cyclic)
+        assert compared >= 200
+        # both extraction paths ran: with and without unit cycles
+        assert cyclic == {False, True}
+
+    @pytest.mark.parametrize("grammar, start, name", [
+        ("arith.g", "expr", "expr.txt"),
+        ("java5.g", "normalClassDeclaration", "classbody.java"),
+        ("java5.g", "normalClassDeclaration", "generics.java"),
+        ("java5.g", "typeParameters", "typeparams.txt"),
+        ("java14.g", "classDeclaration", "classbody.java"),
+    ])
+    def test_fixture_inputs(self, request, grammar, start, name):
+        tree = request.getfixturevalue(grammar[:-2])
+        lexer = request.getfixturevalue("arith_lexer" if grammar == "arith.g"
+                                        else "java_lexer")
+        tokens = tokenize(lexer, tree, fixture(f"inputs/{name}"))
+        assert self.assert_same(tree, start, tokens)
+
+    def test_fixture_sentences(self, arith, arith_lexer):
+        for text in ["1", "1+2*3", "(1+2)*3", "1-2-3", "((4))/5", "1+", ")("]:
+            self.assert_same(arith, "expr", tokenize(arith_lexer, arith, text))
+
+    @pytest.mark.parametrize("text", [
+        "s : s ID : #empty ;",
+        "s : (ID?)* ;",
+        "s : (ID?)* NUM ;",
+        "a : b ;\nb : a : ID ;",
+        "s : a ID* ;\na : ID* ;",
+    ])
+    def test_nullable_and_cyclic_grammars(self, text):
+        tree = parse_grammar(text)
+        start = tree.root.children[0].detail
+        for length in range(6):
+            for last in ("ID", "NUM"):
+                shape = [("term", "ID")] * length + [("term", last)]
+                self.assert_same(tree, start, tokens_for(shape))
+                self.assert_same(tree, start, tokens_for(shape[:-1]))
+
+    def test_guard_below_a_candidate_that_cannot_complete(self):
+        # k tries a over its whole span although 'b' must follow; below it the
+        # guard on k makes x take its second production, and that choice is
+        # memoised and reused when m takes k's span plus 'f'
+        tree = parse_grammar("s : m 'g' ; m : k : x 'f' ; k : n a 'b' ;\n"
+                             "n : #empty : ID ; a : x ; x : k : y ;\n"
+                             "y : ID : ID ID 'b' ;")
+        assert _compile(tree).cyclic
+        ident, b, f, gee = ("term", "ID"), ("lit", "b"), ("lit", "f"), ("lit", "g")
+        assert self.assert_same(tree, "s", tokens_for([ident, ident, b, f, gee]))
+        compared = 0
+        for length in range(6):
+            for shape in itertools.product([ident, b, f, gee], repeat=length):
+                compared += self.assert_same(tree, "s", tokens_for(shape))
+        assert compared >= 5
 
 
 def terminal_names(tree):

@@ -1,0 +1,61 @@
+"""Large inputs parse, highlight and format at the default recursion limit.
+
+Parse trees are as deep as the input nests and iteration nodes as wide as
+the input repeats, so any recursion over tokens or tree levels would fail
+here with RecursionError.
+"""
+
+import pytest
+
+from gramweave import (assign_groups, format_tree, leaves, parse_aspect,
+                       parse_input, render_ansi, strip_ansi, tokenize, weave)
+from support import (chain_arith_text, java_class_text, nested_arith_text,
+                     reference_format)
+
+pytestmark = pytest.mark.usefixtures("default_recursion_limit")
+
+
+@pytest.fixture(scope="module")
+def arith_store(arith):
+    aspect = parse_aspect("factor : {...} @INT: { group = number } ; ;")
+    return weave(arith, [aspect])
+
+
+def run_backends(tree, text, store):
+    spans = assign_groups(tree, store)
+    assert len(spans) == len(tree.tokens)
+    assert strip_ansi(render_ansi(text, spans, {})) == text
+    return spans, format_tree(tree, store)
+
+
+class TestArith:
+    def test_deep_nesting(self, arith, arith_lexer, arith_store):
+        text = nested_arith_text(1000)
+        tree = parse_input(arith, "expr", tokenize(arith_lexer, arith, text))
+        assert len(leaves(tree)) == 2001
+        spans, formatted = run_backends(tree, text, arith_store)
+        assert [s.group for s in spans].count("number") == 1
+        assert formatted == text  # the store has no whitespace advice
+
+    def test_long_chain(self, arith, arith_lexer, arith_store):
+        text = chain_arith_text(5000)
+        tree = parse_input(arith, "expr", tokenize(arith_lexer, arith, text))
+        # expr : term ((PLUS | MINUS) term)* ; one iter node holds every step
+        _term, steps = tree.root.children
+        assert (steps.kind, len(steps.children)) == ("iter", 4999)
+        spans, formatted = run_backends(tree, text, arith_store)
+        assert [s.group for s in spans].count("number") == 5000
+        assert formatted == text
+
+
+class TestJava:
+    def test_large_class_body(self, java5, java_lexer, highlight_store,
+                              pretty_store):
+        text = java_class_text(2000)
+        tree = parse_input(java5, "normalClassDeclaration",
+                           tokenize(java_lexer, java5, text))
+        body = tree.root.children[-1].children[0]
+        assert len(body.children[1].children) == 2000
+        spans, _ = run_backends(tree, text, highlight_store)
+        assert [s.group for s in spans][:2] == ["keyword", "classDeclaration"]
+        assert format_tree(tree, pretty_store) == reference_format(tree, pretty_store)
