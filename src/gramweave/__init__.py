@@ -14,7 +14,7 @@ from .annotations import (FLAG, Annotation, AnnotationStore, Attribute,
                           serialize_store)
 from .aspects import (DEFAULT_MULTIPLICITY, Aspect, AnnotationRule,
                       Multiplicity, Subpattern, VariableAnnotation,
-                      WeaveError, check_multiplicity, parse_aspect, weave)
+                      WeaveError, parse_aspect, weave)
 from .earley import (ParseLeaf, ParseNode, ParseTree, leaves, parse_input,
                      token_contexts)
 from .errors import (ConflictError, GramweaveError, LexError, NotationError,
@@ -38,8 +38,7 @@ __all__ = [
     "StrValue", "attach", "deserialize_store", "lookup", "parse_annotation",
     "serialize_store",
     "DEFAULT_MULTIPLICITY", "Aspect", "AnnotationRule", "Multiplicity",
-    "Subpattern", "VariableAnnotation", "WeaveError", "check_multiplicity",
-    "parse_aspect", "weave",
+    "Subpattern", "VariableAnnotation", "WeaveError", "parse_aspect", "weave",
     "ParseLeaf", "ParseNode", "ParseTree", "leaves", "parse_input",
     "token_contexts",
     "ConflictError", "GramweaveError", "LexError", "NotationError",

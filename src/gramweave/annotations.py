@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 from .errors import ConflictError, NotationError
@@ -174,7 +175,6 @@ def annotation_at(cur: Cursor) -> Annotation:
 
 
 def _attribute(cur: Cursor) -> Attribute:
-    pos = cur.mark()
     loc = cur.location()
     namespace = None
     name = cur.accept_name()
@@ -187,7 +187,6 @@ def _attribute(cur: Cursor) -> Attribute:
     value = None
     if cur.accept("="):
         value = _value(cur)
-    del pos
     return Attribute(name, namespace, value, loc=loc)
 
 
@@ -334,7 +333,8 @@ def lookup(store: AnnotationStore, node_id: int, name: str,
 # ---------------------------------------------------------------------------
 # Serialization
 
-# The JSON layout is fixed so woven output is byte-stable:
+# The JSON layout is fixed so woven output is byte-stable.  It is what
+# json.dumps(doc, indent=2) writes (ASCII only, key order as below):
 #   {"version": 1,
 #    "grammar": {"root": 0, "nodes": [{"id", "kind", "detail", "span",
 #                                      "children"}, ...]},   ascending id
@@ -387,27 +387,87 @@ def _value_from_json(data) -> Optional[Value]:
     raise NotationError(f"unknown value type {kind!r} in store document")
 
 
+def _quote(text: Optional[str]) -> str:
+    return "null" if text is None else encode_basestring_ascii(text)
+
+
+def _int_list(values) -> str:
+    """A list of ints as it stands in a node entry, its items 10 spaces in."""
+    if not values:
+        return "[]"
+    return "[\n          " + ",\n          ".join(map(str, values)) + "\n        ]"
+
+
+def _entries(items: list, indent: str) -> str:
+    """A JSON list of already indented entries; indent is the list's own."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+_NODE = """      {{
+        "id": {},
+        "kind": {},
+        "detail": {},
+        "span": {},
+        "children": {}
+      }}"""
+
+_ANNOTATION = """    {{
+      "node": {},
+      "namespace": {},
+      "name": {},
+      "value": {},
+      "provenance": {}
+    }}"""
+
+_PROVENANCE = """{{
+        "aspect": {},
+        "rule": {}
+      }}"""
+
+_SCALAR = """{{
+        "type": "{}",
+        "{}": {}
+      }}"""
+
+
+def _value_text(value: Optional[Value]) -> str:
+    """A value as it stands in an annotation entry, its fields 8 spaces in."""
+    if value is None:
+        return "null"
+    if isinstance(value, IntValue):
+        return _SCALAR.format("int", "value", json.dumps(value.value))
+    if isinstance(value, StrValue):
+        return _SCALAR.format("str", "text", _quote(value.text))
+    if isinstance(value, NameValue):
+        return _SCALAR.format("name", "name", _quote(value.name))
+    if isinstance(value, PunctValue):
+        return _SCALAR.format("punct", "char", _quote(value.char))
+    # records and sequences are rare and nested; a JSON string never holds a
+    # raw newline, so indenting after every newline is safe
+    return json.dumps(_value_to_json(value), indent=2).replace("\n", "\n      ")
+
+
 def serialize_store(store: AnnotationStore) -> str:
+    """Write the layout above from templates, without building the document."""
     nodes = []
     for node_id in sorted(store._nodes):
         meta = store._nodes[node_id]
-        nodes.append({"id": node_id, "kind": meta.kind, "detail": meta.detail,
-                      "span": list(meta.span), "children": list(meta.children)})
+        nodes.append(_NODE.format(node_id, _quote(meta.kind), _quote(meta.detail),
+                                  _int_list(meta.span), _int_list(meta.children)))
     annotations = []
     for node_id in store.annotated_nodes():
-        for attr in store.annotation_for(node_id).attributes:
+        for attr in store._by_node[node_id]:
             prov = attr.provenance
-            annotations.append({
-                "node": node_id,
-                "namespace": attr.namespace,
-                "name": attr.name,
-                "value": _value_to_json(attr.value),
-                "provenance": {"aspect": prov.aspect, "rule": prov.rule} if prov else None,
-            })
-    doc = {"version": 1,
-           "grammar": {"root": store.root_id, "nodes": nodes},
-           "annotations": annotations}
-    return json.dumps(doc, indent=2) + "\n"
+            annotations.append(_ANNOTATION.format(
+                node_id, _quote(attr.namespace), _quote(attr.name),
+                _value_text(attr.value),
+                "null" if prov is None else _PROVENANCE.format(
+                    prov.aspect, "null" if prov.rule is None else prov.rule)))
+    return ('{\n  "version": 1,\n  "grammar": {\n    "root": %s,\n    "nodes": %s\n  },'
+            '\n  "annotations": %s\n}\n'
+            % (store.root_id, _entries(nodes, "    "), _entries(annotations, "  ")))
 
 
 def deserialize_store(text: str) -> AnnotationStore:

@@ -55,10 +55,6 @@ class Multiplicity:
 DEFAULT_MULTIPLICITY = Multiplicity(1, None)
 
 
-def check_multiplicity(count: int, m: Multiplicity) -> bool:
-    return m.allows(count)
-
-
 @dataclass(frozen=True)
 class VariableAnnotation:
     """Advice of the form ``$var { ... } ;`` or ``$var.name = value ;``."""

@@ -26,6 +26,16 @@ of the first alignment in a deterministic exploration order: choices are
 tried left to right and '..' prefers the shortest absorption.  The set
 of matched nodes does not depend on that preference, only the reported
 bindings do.
+
+Each pattern gets a gate, computed once per match_rules/match_within
+call, that rejects a node before any generator is made: the node kinds
+the pattern can match, the length of the run it spans, and the literals
+and names its sequence, production or alternative items spell out, which
+the run's direct children must hold.  A rule pattern with a named symbol
+reads that rule from the tree's rule_index instead of scanning every
+rule.  Gates are necessary conditions only, so they change neither the
+matched nodes nor their bindings.  A pattern whose literals are all
+present still explores every gap split on failure (O(L^k) for k gaps).
 """
 
 from __future__ import annotations
@@ -558,6 +568,63 @@ def _as_items(body) -> tuple:
     return body.items if isinstance(body, SeqPat) else (body,)
 
 
+def _key(pat):
+    """(kind, detail) of every node a literal or name pattern matches."""
+    core = pat.inner if isinstance(pat, Bind) else pat
+    if isinstance(core, LitPat):
+        return (g.LITERAL, core.text)
+    if isinstance(core, Named):
+        return (g.SYMBOL_REF, core.name)
+    return None
+
+
+_WILDCARD_KIND = {AnySym: g.SYMBOL_REF, AnyLex: g.LITERAL, EmptyPat: g.EMPTY}
+
+
+def _gate(pat):
+    """A necessary condition for _Matcher.one(pat, node, env) to yield, as
+    a predicate on the node; None when any node may match."""
+    core = pat.inner if isinstance(pat, Bind) else pat
+    key = _key(core)
+    if key is not None:
+        kind, detail = key
+        return lambda node: node.detail == detail and node.kind == kind
+    if isinstance(core, IterPat):
+        return lambda node: node.kind == g.ITERATION and node.detail == core.kind
+    if type(core) in _WILDCARD_KIND:
+        kind = _WILDCARD_KIND[type(core)]
+        return lambda node: node.kind == kind
+    if isinstance(core, AltPat):
+        # '...' stands for at least one branch besides the members' own
+        members, kinds, lone = core.members, (g.ALTERNATIVE,), False
+        size, exact = len(members) + (core.rest is not None), core.rest is None
+    elif isinstance(core, (SeqPat, ProdPat)):
+        if isinstance(core, SeqPat):  # a lone node is a one-element run
+            members, kinds, lone = core.items, (g.SEQUENCE, g.PRODUCTION), True
+        else:
+            members, kinds, lone = _as_items(core.body), (g.PRODUCTION,), False
+        gaps = sum(isinstance(m.inner if isinstance(m, Bind) else m, Gap)
+                   for m in members)
+        size, exact = len(members) - gaps, not gaps
+    else:
+        return None  # Gap and VarRef match any node; ProdsWildcard none
+    needs = {k for k in map(_key, members) if k is not None}
+
+    def gate(node):
+        if node.kind in kinds:
+            run = node.children
+        elif lone:
+            run = (node,)
+        else:
+            return False
+        n = len(run)
+        if n < size or (exact and n != size):
+            return False
+        return not needs or needs <= {(c.kind, c.detail) for c in run}
+
+    return gate
+
+
 def _first(iterator):
     for env in iterator:
         return env
@@ -570,14 +637,40 @@ def _result(node, env) -> MatchResult:
 
 
 def match_rules(pattern: RulePattern, tree: g.GrammarTree) -> list[MatchResult]:
-    """Match a rule pattern against every rule; results in rule order."""
+    """Match a rule pattern against every rule; results in rule order.
+
+    A named rule pattern is looked up in tree.rule_index; other rules are
+    tried only when each production pattern's gate passes some production,
+    in order.
+    """
     m = _Matcher(pattern.var_kinds)
+    if isinstance(pattern.symbol, Named):
+        symdef = tree.rule_index.get(pattern.symbol.name)
+        rules = () if symdef is None else (symdef,)
+    else:
+        rules = tree.root.children
+    gates = [_gate(p) for p in pattern.productions
+             if not isinstance(p, ProdsWildcard)]
     out = []
-    for symdef in tree.root.children:
+    for symdef in rules:
+        if gates and not _in_order(gates, symdef.children):
+            continue
         env = _first(m.rule(pattern, symdef, {}))
         if env is not None:
             out.append(_result(symdef, env))
     return out
+
+
+def _in_order(gates, prods) -> bool:
+    """Whether the gates pass distinct productions in order (greedily)."""
+    k = 0
+    for gate in gates:
+        while k < len(prods) and not gate(prods[k]):
+            k += 1
+        if k == len(prods):
+            return False
+        k += 1
+    return True
 
 
 def match_within(pattern, scope: g.GtNode, kinds: dict | None = None,
@@ -591,8 +684,11 @@ def match_within(pattern, scope: g.GtNode, kinds: dict | None = None,
     """
     m = _Matcher(kinds if kinds is not None else collect_vars(pattern))
     env0 = dict(bindings or {})
+    gate = _gate(pattern)
     out = []
     for node in g.descendants(scope):
+        if gate is not None and not gate(node):
+            continue
         env = _first(m.one(pattern, node, env0))
         if env is not None:
             out.append(_result(node, env))

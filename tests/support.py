@@ -2,18 +2,21 @@
 
 Everything here is deliberately written against the data model only, not
 against the implementation under test: the recognizer oracle enumerates
-the grammar's language instead of parsing, and the reference formatter
-interprets whitespace programs with its own event loop.
+the grammar's language instead of parsing, the reference formatter
+interprets whitespace programs with its own event loop, and the reference
+store writer lets json.dumps lay out a document built as dicts.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
 from gramweave import grammar as G
-from gramweave.annotations import NameValue, SeqValue, StrValue
+from gramweave.annotations import (IntValue, NameValue, PunctValue,
+                                   RecordValue, SeqValue, StrValue)
 from gramweave.earley import ParseLeaf, ParseNode, _compile, token_contexts
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -316,6 +319,54 @@ def tree_difference(got, want):
 
 
 # ---------------------------------------------------------------------------
+# Reference store writer: build the whole document as dicts and lists and let
+# json.dumps lay it out.  serialize_store must produce the same bytes.
+
+
+def _ref_value(value):
+    if value is None:
+        return None
+    if isinstance(value, IntValue):
+        return {"type": "int", "value": value.value}
+    if isinstance(value, StrValue):
+        return {"type": "str", "text": value.text}
+    if isinstance(value, NameValue):
+        return {"type": "name", "name": value.name}
+    if isinstance(value, PunctValue):
+        return {"type": "punct", "char": value.char}
+    if isinstance(value, SeqValue):
+        return {"type": "seq", "items": [_ref_value(v) for v in value.items]}
+    assert isinstance(value, RecordValue)
+    return {"type": "record",
+            "attributes": [{"namespace": a.namespace, "name": a.name,
+                            "value": _ref_value(a.value)}
+                           for a in value.annotation.attributes]}
+
+
+def reference_serialize_store(store) -> str:
+    nodes = []
+    for node_id in sorted(store._nodes):
+        meta = store._nodes[node_id]
+        nodes.append({"id": node_id, "kind": meta.kind, "detail": meta.detail,
+                      "span": list(meta.span), "children": list(meta.children)})
+    annotations = []
+    for node_id in store.annotated_nodes():
+        for attr in store.annotation_for(node_id).attributes:
+            prov = attr.provenance
+            annotations.append({
+                "node": node_id,
+                "namespace": attr.namespace,
+                "name": attr.name,
+                "value": _ref_value(attr.value),
+                "provenance": {"aspect": prov.aspect, "rule": prov.rule} if prov else None,
+            })
+    doc = {"version": 1,
+           "grammar": {"root": store.root_id, "nodes": nodes},
+           "annotations": annotations}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # Reference pretty-printer: flatten everything into an event list, then run
 # a character loop with explicit line handling.
 
@@ -543,6 +594,86 @@ def random_rule_pattern_text(rng: random.Random) -> str:
         return f"{symbol} : {{...}}"
     prods = [seq(0) for _ in range(rng.randint(1, 2))]
     return f"{symbol} : " + " : ".join(prods)
+
+
+def long_grammar_text(rng: random.Random, max_items: int = 40) -> str:
+    """Rules whose productions run up to max_items items, mostly plain
+    names, terminals and literals, with some groups and iterations."""
+    names = _RULE_NAMES[:rng.randint(1, 4)]
+
+    def atom() -> str:
+        roll = rng.random()
+        if roll < 0.3:
+            return rng.choice(names)
+        if roll < 0.55:
+            return rng.choice(_TERMINALS)
+        return f"'{rng.choice(_LITERALS)}'"
+
+    def item() -> str:
+        roll = rng.random()
+        if roll < 0.08:
+            return "(" + " | ".join(atom() for _ in range(rng.randint(2, 3))) + ")"
+        if roll < 0.14:
+            return "(" + " ".join(atom() for _ in range(2)) + ")" + rng.choice("*+?")
+        if roll < 0.22:
+            return atom() + rng.choice("*+?")
+        return atom()
+
+    rules = []
+    for name in names:
+        prods = [" ".join(item() for _ in range(rng.randint(1, max_items)))
+                 for _ in range(rng.randint(1, 2))]
+        rules.append(f"{name} : " + " : ".join(prods) + " ;")
+    return "\n".join(rules)
+
+
+# names and literals that long_grammar_text never writes
+_ABSENT = ["omega", "ZED", "'z'", "'>'"]
+_SUFFIX = {G.STAR: "*", G.PLUS: "+", G.OPT: "?"}
+
+
+def _leaf_text(node: G.GtNode) -> str | None:
+    if node.kind == G.SYMBOL_REF:
+        return node.detail
+    if node.kind == G.LITERAL:
+        return f"'{node.detail}'"
+    if node.kind == G.ITERATION:
+        inner = _leaf_text(node.children[0])
+        return None if inner is None else inner + _SUFFIX[node.detail]
+    return None
+
+
+def gap_sequence_text(rng: random.Random, tree: G.GrammarTree, gaps: int) -> str:
+    """A sequence pattern with the given number of '..' gaps around 1-4
+    items taken in order from one production of tree, so that it often
+    matches; an item is sometimes swapped for a wildcard or for a name or
+    literal absent from tree, bound to a variable, or a variable reuse."""
+    prod = rng.choice([n for n in G.iter_nodes(tree) if n.kind == G.PRODUCTION])
+    texts = [t for t in map(_leaf_text, prod.children) if t is not None] or ["#"]
+    picks = sorted(rng.sample(range(len(texts)), min(len(texts), rng.randint(1, 4))))
+    defined = []
+    items = []
+    for i in picks:
+        body = texts[i]
+        roll = rng.random()
+        if roll < 0.1 and defined:
+            items.append("$" + rng.choice(defined))
+            continue
+        if roll < 0.25:
+            body = rng.choice(_ABSENT)
+        elif roll < 0.35:
+            body = rng.choice(["#", "#lex"])
+        if rng.random() < 0.2:
+            defined.append(f"v{len(defined) + 1}")
+            body = f"${defined[-1]}={body}"
+        items.append(body)
+    slots = [0] * (len(items) + 1)  # gaps before each item and at the end
+    for _ in range(gaps):
+        slots[rng.randrange(len(slots))] += 1
+    out = [".."] * slots[0]
+    for item, after in zip(items, slots[1:]):
+        out += [item] + [".."] * after
+    return " ".join(out)
 
 
 def results_as_sets(results) -> set:

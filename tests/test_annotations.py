@@ -1,11 +1,17 @@
+import random
+from dataclasses import replace
+
 import pytest
 
-from gramweave import (FLAG, Annotation, AnnotationStore, ConflictError,
-                       IntValue, NameValue, NotationError, Provenance,
-                       PunctValue, RecordValue, SeqValue, StrValue,
-                       deserialize_store, parse_annotation, parse_grammar,
-                       serialize_store, weave, parse_aspect)
+from gramweave import (FLAG, Annotation, AnnotationStore, Attribute,
+                       ConflictError, IntValue, Multiplicity, NameValue,
+                       NotationError, Provenance, PunctValue, RecordValue,
+                       SeqValue, StrValue, deserialize_store, parse_annotation,
+                       parse_grammar, serialize_store, weave, parse_aspect)
+from gramweave.annotations import NodeMeta
+from gramweave.aspects import Subpattern
 from gramweave.grammar import iter_nodes
+from support import fixture, random_grammar, reference_serialize_store
 
 
 def attr_map(ann):
@@ -157,3 +163,97 @@ class TestSerialization:
         assert node_ids == sorted(node_ids)
         assert all(a["name"] == "group" for a in data["annotations"])
         assert len(data["annotations"]) == 9
+
+
+ANY = Multiplicity(0, None)
+
+# Woven over random_grammar trees; every pattern may match nothing, and no
+# two rules write one attribute, so the weave cannot fail.
+RANDOM_ASPECT = r"""
+{ generator = 'réf "q" \\ end'; level = 3; mode = fast; pad = {{ ' ' }} }
+# : {...}
+    @[*] #lex: { group = literal; weight = 1 } ;
+    @[*] ('x' | ...): { choice = {{ 'x' , 2 (nested) }} } ;
+    @[*] .. ';': { html: class = 'semi\tcolon' } ;
+[*] $a=# : .. '+' ..
+    $a { role = { kind = plus; depth = 2; deep = { more = {{ '<' }} } } } ;
+[*] alpha : {...}
+    @[*] #: { reference } ;
+"""
+
+
+def lenient(aspect):
+    """The aspect with every multiplicity [0..*], so it weaves on any grammar."""
+    def relax(items):
+        return tuple(replace(i, multiplicity=ANY, subrules=relax(i.subrules))
+                     if isinstance(i, Subpattern) else i for i in items)
+
+    return replace(aspect, rules=tuple(
+        replace(r, multiplicity=ANY, subrules=relax(r.subrules))
+        for r in aspect.rules))
+
+
+class TestWriterOracle:
+    """serialize_store writes the bytes reference_serialize_store writes."""
+
+    def check(self, store):
+        text = serialize_store(store)
+        assert text == reference_serialize_store(store)
+        return text
+
+    def test_frozen_snapshot(self, highlight_store):
+        frozen = fixture("snapshots/java5_highlight_store.json")
+        assert self.check(highlight_store) == frozen
+        assert self.check(deserialize_store(frozen)) == frozen
+
+    @pytest.mark.parametrize("name", ["java5.g", "java14.g", "arith.g"])
+    def test_fixture_aspects(self, name, highlight_aspect, pretty_aspect):
+        tree = parse_grammar(fixture(name), name)
+        both = [lenient(highlight_aspect), lenient(pretty_aspect)]
+        for aspects in ([both[0]], [both[1]], both):
+            self.check(weave(tree, aspects))
+
+    def test_random_grammars(self):
+        rng = random.Random(20100315)
+        aspect = parse_aspect(RANDOM_ASPECT)
+        annotated = 0
+        for _ in range(50):
+            store = weave(random_grammar(rng), [aspect])
+            annotated += len(store)
+            self.check(store)
+        assert annotated > 500
+
+    def test_hand_built(self):
+        odd = "é中\U0001f600 'q' \"dq\" \\ \t\n\x00\x1f\x7f"
+        nodes = {
+            0: NodeMeta("grammar", None, (0, 40), (1, 4)),
+            1: NodeMeta("symbol_def", "rule", (0, 20), (2,)),
+            2: NodeMeta("production", None, (5, 19), (3,)),
+            3: NodeMeta("literal", odd, (6, 18), ()),
+            4: NodeMeta("symbol_def", "empty", (21, 40), ()),
+        }
+        store = AnnotationStore(nodes, 0)
+        self.check(store)  # no annotations
+        store.attach(0, parse_annotation("{ g = 1 }"))  # no provenance
+        store.attach(3, Annotation((
+            Attribute("i", value=IntValue(-12)),
+            Attribute("s", value=StrValue(odd)),
+            Attribute("n", "ns", NameValue("keyword")),
+            Attribute("p", value=PunctValue("\\")),
+            Attribute("q", value=PunctValue('"')),
+            Attribute("flag"),
+            Attribute("e", value=SeqValue(())),
+            Attribute("seq", value=SeqValue((IntValue(1), PunctValue(","),
+                                             StrValue(odd), NameValue("x"),
+                                             SeqValue((PunctValue("{"),))))),
+            Attribute("rec", value=RecordValue(Annotation((
+                Attribute("a", "html", StrValue(odd)),
+                Attribute("r", value=RecordValue(Annotation((
+                    Attribute("deep", value=SeqValue((StrValue(""),))),)))),
+                Attribute("none", value=RecordValue(Annotation())),
+                Attribute("f"))))),
+        )), Provenance(2, 7))
+        store.attach(4, parse_annotation("{ ns: k = v }"), Provenance(1, None))
+        text = self.check(store)
+        assert text.isascii()
+        assert self.check(deserialize_store(text)) == text

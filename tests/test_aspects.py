@@ -2,8 +2,7 @@ import pytest
 
 from gramweave import (ConflictError, DEFAULT_MULTIPLICITY, Multiplicity,
                        NameValue, NotationError, WeaveError, WeaveFailure,
-                       check_multiplicity, match_rules, parse_aspect,
-                       serialize_store, weave)
+                       match_rules, parse_aspect, serialize_store, weave)
 from gramweave.aspects import Subpattern, VariableAnnotation
 
 
@@ -88,7 +87,7 @@ class TestCheckMultiplicity:
         (4, Multiplicity(3, 3), False),
     ])
     def test_table(self, count, mult, ok):
-        assert check_multiplicity(count, mult) is ok
+        assert mult.allows(count) is ok
 
     @pytest.mark.parametrize("mult, text", [
         (DEFAULT_MULTIPLICITY, "[1..*]"),

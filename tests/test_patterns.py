@@ -6,8 +6,9 @@ from gramweave import (NotationError, match_rules, match_within, parse_grammar,
                        parse_rule_pattern, parse_subpattern)
 from gramweave.bruteforce import brute_force_match, brute_force_within
 from gramweave.patterns import (AnySym, Bind, IterPat, Named, ProdsWildcard,
-                                RulePattern, VarRef)
-from support import random_grammar, random_rule_pattern_text, results_as_sets
+                                RulePattern, VarRef, _Matcher)
+from support import (gap_sequence_text, long_grammar_text, random_grammar,
+                     random_rule_pattern_text, results_as_sets)
 
 
 def matched_rules(tree, results):
@@ -189,3 +190,51 @@ class TestBruteForceOracle:
                 results_as_sets(brute_force_match(pat, tree))
             agreed += 1
         assert agreed >= 40
+
+
+class TestGate:
+    """Gates reject nodes before matching; results still equal brute force."""
+
+    def test_long_productions_and_gaps(self):
+        rng = random.Random(1971)
+        rules = nodes = 0
+        for _ in range(30):
+            tree = parse_grammar(long_grammar_text(rng))
+            seq = gap_sequence_text(rng, tree, rng.randint(2, 4))
+            symbol = rng.choice(["#", "#", "alpha", "omega"])
+            pat = parse_rule_pattern(f"{symbol} : {seq}")
+            got = match_rules(pat, tree)
+            assert results_as_sets(got) == \
+                results_as_sets(brute_force_match(pat, tree))
+            rules += len(got)
+            for text in (seq, f": {seq}", f"{seq} | ..."):
+                sub = parse_subpattern(text)
+                for rule in tree.root.children:
+                    got = match_within(sub, rule)
+                    assert results_as_sets(got) == \
+                        results_as_sets(brute_force_within(sub, rule))
+                    nodes += len(got)
+        assert rules >= 5 and nodes >= 50
+
+    def test_failing_gap_pattern_never_runs_the_matcher(self, monkeypatch):
+        # each rule has 40 items: without the gate on 'z', the matcher
+        # explores every split of the four gaps, about a second in all
+        items = " ".join(["A", "b", "'y'", "A"] * 10)
+        tree = parse_grammar("b : B ;\n" + "\n".join(
+            f"r{i} : {items} ;" for i in range(20)))
+        calls = []
+        items_method = _Matcher._items
+
+        def counted(self, *args):
+            calls.append(args)
+            return items_method(self, *args)
+
+        monkeypatch.setattr(_Matcher, "_items", counted)
+        pat = parse_rule_pattern("# : .. A .. A .. A .. A .. 'z'")
+        assert match_rules(pat, tree) == []
+        sub = parse_subpattern(": .. A .. A .. A .. A .. 'z'")
+        assert all(match_within(sub, rule) == [] for rule in tree.root.children)
+        assert calls == []
+        assert len(match_rules(parse_rule_pattern("# : .. A .. A .. 'y' .."),
+                               tree)) == 20
+        assert calls
