@@ -9,9 +9,8 @@ on parse trees whose every token knows its grammar-tree provenance.
 
 from .annotations import (FLAG, Annotation, AnnotationStore, Attribute,
                           IntValue, NameValue, Provenance, PunctValue,
-                          RecordValue, SeqValue, StrValue, attach,
-                          deserialize_store, lookup, parse_annotation,
-                          serialize_store)
+                          RecordValue, SeqValue, StrValue, deserialize_store,
+                          parse_annotation, serialize_store)
 from .aspects import (DEFAULT_MULTIPLICITY, Aspect, AnnotationRule,
                       Multiplicity, Subpattern, VariableAnnotation,
                       WeaveError, parse_aspect, weave)
@@ -35,8 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FLAG", "Annotation", "AnnotationStore", "Attribute", "IntValue",
     "NameValue", "Provenance", "PunctValue", "RecordValue", "SeqValue",
-    "StrValue", "attach", "deserialize_store", "lookup", "parse_annotation",
-    "serialize_store",
+    "StrValue", "deserialize_store", "parse_annotation", "serialize_store",
     "DEFAULT_MULTIPLICITY", "Aspect", "AnnotationRule", "Multiplicity",
     "Subpattern", "VariableAnnotation", "WeaveError", "parse_aspect", "weave",
     "ParseLeaf", "ParseNode", "ParseTree", "leaves", "parse_input",

@@ -49,6 +49,13 @@ class _Flag:
 FLAG = _Flag()
 
 
+def _value_or_flag(attr: Optional["Attribute"]):
+    """An attribute's value as read: FLAG if valueless, None if absent."""
+    if attr is None:
+        return None
+    return attr.value if attr.value is not None else FLAG
+
+
 # ---------------------------------------------------------------------------
 # Value model
 
@@ -134,10 +141,9 @@ class Annotation:
             seen.add(attr.key)
 
     def get(self, name: str, namespace: Optional[str] = None):
-        for attr in self.attributes:
-            if attr.name == name and attr.namespace == namespace:
-                return attr.value if attr.value is not None else FLAG
-        return None
+        key = (namespace, name)
+        return _value_or_flag(next((a for a in self.attributes if a.key == key),
+                                   None))
 
     def __bool__(self) -> bool:
         return bool(self.attributes)
@@ -244,13 +250,14 @@ class AnnotationStore:
 
     The store knows the shape of the tree it was built for (node ids, kinds,
     spans) so that attachments can be validated and serialized without the
-    tree object itself.
+    tree object itself.  Each annotated node maps ``(namespace, name)`` to
+    its attribute, in attach order.
     """
 
     def __init__(self, nodes: dict, root_id: int):
         self._nodes = dict(nodes)
         self._root_id = root_id
-        self._by_node: dict = {}
+        self._by_node: dict = {}  # node id -> {(namespace, name): Attribute}
 
     @classmethod
     def for_tree(cls, tree: GrammarTree) -> "AnnotationStore":
@@ -268,12 +275,12 @@ class AnnotationStore:
         return self._nodes[node_id]
 
     def annotation_for(self, node_id: int) -> Annotation:
-        return Annotation(tuple(self._by_node.get(node_id, ())))
+        return Annotation(tuple(self._by_node.get(node_id, {}).values()))
 
     @property
     def grammar_annotation(self) -> Optional[Annotation]:
         attrs = self._by_node.get(self._root_id)
-        return Annotation(tuple(attrs)) if attrs else None
+        return Annotation(tuple(attrs.values())) if attrs else None
 
     def annotated_nodes(self) -> Iterator[int]:
         return iter(sorted(self._by_node))
@@ -287,12 +294,12 @@ class AnnotationStore:
         """
         if node_id not in self._nodes:
             raise KeyError(f"node {node_id} is not part of this store's tree")
-        existing = self._by_node.setdefault(node_id, [])
+        existing = self._by_node.setdefault(node_id, {})
         for attr in annotation.attributes:
             incoming = attr.with_provenance(provenance) if provenance else attr
-            clash = next((e for e in existing if e.key == attr.key), None)
+            clash = existing.get(attr.key)
             if clash is None:
-                existing.append(incoming)
+                existing[attr.key] = incoming
             elif clash.value != attr.value:
                 meta = self._nodes[node_id]
                 raise ConflictError(node_id, meta.span, attr.namespace, attr.name,
@@ -302,32 +309,25 @@ class AnnotationStore:
             del self._by_node[node_id]
         return self
 
+    def attribute(self, node_id: int, name: str,
+                  namespace: Optional[str] = None) -> Optional[Attribute]:
+        """The attribute itself, with its provenance and location; None if absent."""
+        attrs = self._by_node.get(node_id)
+        return attrs.get((namespace, name)) if attrs else None
+
     def lookup(self, node_id: int, name: str, namespace: Optional[str] = None):
         """Value of an attribute on a node; FLAG if valueless; None if absent."""
-        for attr in self._by_node.get(node_id, ()):
-            if attr.name == name and attr.namespace == namespace:
-                return attr.value if attr.value is not None else FLAG
-        return None
+        return _value_or_flag(self.attribute(node_id, name, namespace))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AnnotationStore):
             return NotImplemented
-        mine = {n: tuple(a) for n, a in self._by_node.items() if a}
-        theirs = {n: tuple(a) for n, a in other._by_node.items() if a}
+        mine = {n: tuple(a.values()) for n, a in self._by_node.items()}
+        theirs = {n: tuple(a.values()) for n, a in other._by_node.items()}
         return self._root_id == other._root_id and mine == theirs
 
     def __len__(self) -> int:
         return sum(len(attrs) for attrs in self._by_node.values())
-
-
-def attach(store: AnnotationStore, node_id: int, annotation: Annotation,
-           provenance: Optional[Provenance] = None) -> AnnotationStore:
-    return store.attach(node_id, annotation, provenance)
-
-
-def lookup(store: AnnotationStore, node_id: int, name: str,
-           namespace: Optional[str] = None):
-    return store.lookup(node_id, name, namespace)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +458,7 @@ def serialize_store(store: AnnotationStore) -> str:
                                   _int_list(meta.span), _int_list(meta.children)))
     annotations = []
     for node_id in store.annotated_nodes():
-        for attr in store._by_node[node_id]:
+        for attr in store._by_node[node_id].values():
             prov = attr.provenance
             annotations.append(_ANNOTATION.format(
                 node_id, _quote(attr.namespace), _quote(attr.name),
@@ -475,17 +475,27 @@ def deserialize_store(text: str) -> AnnotationStore:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NotationError(f"store document is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise NotationError("store document is not a JSON object")
     if doc.get("version") != 1:
         raise NotationError(f"unsupported store version {doc.get('version')!r}")
-    nodes = {}
-    for entry in doc["grammar"]["nodes"]:
-        nodes[entry["id"]] = NodeMeta(entry["kind"], entry["detail"],
-                                      tuple(entry["span"]), tuple(entry["children"]))
-    store = AnnotationStore(nodes, doc["grammar"]["root"])
-    for entry in doc["annotations"]:
-        prov = entry.get("provenance")
-        provenance = Provenance(prov["aspect"], prov["rule"]) if prov else None
-        attr = Attribute(entry["name"], entry["namespace"],
-                         _value_from_json(entry["value"]))
-        store.attach(entry["node"], Annotation((attr,)), provenance)
+    try:
+        nodes = {}
+        for entry in doc["grammar"]["nodes"]:
+            nodes[entry["id"]] = NodeMeta(entry["kind"], entry["detail"],
+                                          tuple(entry["span"]), tuple(entry["children"]))
+        store = AnnotationStore(nodes, doc["grammar"]["root"])
+        for entry in doc["annotations"]:
+            if entry["node"] not in nodes:
+                raise NotationError(f"annotation on unknown node {entry['node']!r} "
+                                    "in store document")
+            prov = entry.get("provenance")
+            provenance = Provenance(prov["aspect"], prov["rule"]) if prov else None
+            attr = Attribute(entry["name"], entry["namespace"],
+                             _value_from_json(entry["value"]))
+            store.attach(entry["node"], Annotation((attr,)), provenance)
+    except KeyError as exc:
+        raise NotationError(f"store document lacks the field {exc}") from None
+    except (AttributeError, TypeError) as exc:
+        raise NotationError(f"malformed store document: {exc}") from None
     return store

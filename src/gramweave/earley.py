@@ -74,54 +74,42 @@ def leaves(tree: ParseTree) -> List[ParseLeaf]:
     return out
 
 
-def token_contexts(tree: ParseTree) -> List[Tuple[ParseLeaf, list]]:
-    """For each leaf in order: (leaf, chain of (gt_id, lo, hi)).
+def token_contexts(tree: ParseTree) -> List[Tuple[ParseLeaf, list, list]]:
+    """For each leaf in order: (leaf, opened, closed).
 
-    The chain lists every enclosing derivation step from outermost to the
-    leaf itself, with the half-open token-index range each one derived.
-    Rule applications contribute two links: the defined symbol and the
-    chosen production.
+    ``opened`` holds the grammar-tree ids of the derivation steps whose
+    token range starts at this leaf, outermost first, ending with the
+    leaf's own id; ``closed`` holds ``(gt_id, lo)`` for the steps whose
+    range ends at this leaf, innermost first, starting with the leaf's
+    own, where ``lo`` is the index of the step's first token.  A rule
+    application is two steps: the defined symbol, then the chosen
+    production.  Each step that derives a token appears once in each
+    list kind; steps that derive nothing appear in neither.
     """
-    root = tree.root
-    # first walk: where each node's range ends
-    his: Dict[int, int] = {}
-    count = 0
-    stack: list = [(root, iter(root.children))]
-    while stack:
-        node, kids = stack[-1]
-        for kid in kids:
-            if isinstance(kid, ParseLeaf):
-                count += 1
-            else:
-                stack.append((kid, iter(kid.children)))
-                break
-        else:
-            stack.pop()
-            his[id(node)] = count
-    # second walk: the chain of links enclosing the current node; each open
-    # node remembers how many links it added
     out: list = []
-    chain: list = []
+    pending: list = []  # ids opened since the last leaf
     count = 0
-    stack = [(0, iter((root,)))]
+    stack: list = [((), iter((tree.root,)), 0)]  # (ids, children, lo)
     while stack:
-        links, kids = stack[-1]
+        ids, kids, lo = stack[-1]
         for node in kids:
             if isinstance(node, ParseLeaf):
-                out.append((node, chain + [(node.gt_id, count, count + 1)]))
+                pending.append(node.gt_id)
+                out.append((node, pending, [(node.gt_id, count)]))
+                pending = []
                 count += 1
                 continue
-            hi = his[id(node)]
-            chain.append((node.gt_id, count, hi))
-            if node.kind == "rule":
-                chain.append((node.production_id, count, hi))
-                stack.append((2, iter(node.children)))
-            else:
-                stack.append((1, iter(node.children)))
+            ids = (node.gt_id, node.production_id) if node.kind == "rule" \
+                else (node.gt_id,)
+            pending.extend(ids)
+            stack.append((ids, iter(node.children), count))
             break
         else:
             stack.pop()
-            del chain[len(chain) - links:]
+            if count > lo:
+                out[-1][2].extend((gid, lo) for gid in reversed(ids))
+            elif ids:  # derived nothing: its ids are the last ones opened
+                del pending[-len(ids):]
     return out
 
 

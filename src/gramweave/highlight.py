@@ -53,12 +53,12 @@ def _group_name(value) -> Optional[str]:
 def assign_groups(tree: ParseTree, store: AnnotationStore) -> List[HighlightSpan]:
     """One span per token, in order, each with its resolved group."""
     spans = []
-    for leaf, chain in token_contexts(tree):
-        lo, hi = chain[-1][1], chain[-1][2]
+    for index, (leaf, _opened, closed) in enumerate(token_contexts(tree)):
         group = PLAIN
-        # innermost wins: the leaf itself, then enclosing single-token nodes
-        for gid, clo, chi in reversed(chain):
-            if (clo, chi) != (lo, hi):
+        # innermost wins: the leaf itself, then enclosing steps that also
+        # start at this token, so derive exactly this one
+        for gid, lo in closed:
+            if lo != index:
                 break
             name = _group_name(store.lookup(gid, "group"))
             if name is not None:

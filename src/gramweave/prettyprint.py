@@ -14,8 +14,7 @@ import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .annotations import (Annotation, AnnotationStore, Attribute, NameValue,
-                          SeqValue, StrValue)
+from .annotations import AnnotationStore, Attribute, NameValue, SeqValue, StrValue
 from .earley import ParseLeaf, ParseTree, token_contexts
 from .errors import WhitespaceError
 
@@ -83,15 +82,6 @@ def _describe(attr: Attribute) -> str:
     return f"attribute '{attr.name}'"
 
 
-def _find_attr(ann: Optional[Annotation], name: str) -> Optional[Attribute]:
-    if ann is None:
-        return None
-    for attr in ann.attributes:
-        if attr.namespace is None and attr.name == name:
-            return attr
-    return None
-
-
 def _decode_attr(attr: Optional[Attribute]) -> Optional[WhitespaceProgram]:
     if attr is None:
         return None
@@ -100,12 +90,12 @@ def _decode_attr(attr: Optional[Attribute]) -> Optional[WhitespaceProgram]:
 
 class _Defaults:
     def __init__(self, store: AnnotationStore):
-        ga = store.grammar_annotation
-        before = _decode_attr(_find_attr(ga, "defaultBefore"))
-        after = _decode_attr(_find_attr(ga, "defaultAfter"))
+        root = store.root_id
+        before = _decode_attr(store.attribute(root, "defaultBefore"))
+        after = _decode_attr(store.attribute(root, "defaultAfter"))
         self.before: WhitespaceProgram = before if before is not None else ()
         self.after: WhitespaceProgram = after if after is not None else ()
-        unit_attr = _find_attr(ga, "indentUnit")
+        unit_attr = store.attribute(root, "indentUnit")
         if unit_attr is None:
             self.indent_unit = DEFAULT_INDENT_UNIT
         elif isinstance(unit_attr.value, StrValue):
@@ -115,45 +105,29 @@ class _Defaults:
                 f"{_describe(unit_attr)}: indentUnit must be a string")
 
 
-def _programs(chain, index: int, store: AnnotationStore,
+def _joined(store: AnnotationStore, ids, name: str,
+            default: WhitespaceProgram) -> WhitespaceProgram:
+    """The nodes' `name` programs run in order; default if none has one."""
+    progs = [_decode_attr(store.attribute(gid, name)) for gid in ids]
+    progs = [prog for prog in progs if prog is not None]
+    return tuple(item for prog in progs for item in prog) if progs else default
+
+
+def _programs(opened, closed, store: AnnotationStore,
               defaults: _Defaults) -> Tuple[WhitespaceProgram, WhitespaceProgram]:
-    # ranges nest, so the nodes whose range starts here, and those whose
-    # range ends here, are suffixes of the chain
-    first = len(chain) - 1
-    while first > 0 and chain[first - 1][1] == index:
-        first -= 1
-    # before: outermost to innermost over nodes whose range starts here
-    before: List[object] = []
-    explicit_before = False
-    for gid, _lo, _hi in chain[first:]:
-        prog = _decode_attr(_find_attr(store.annotation_for(gid), "before"))
-        if prog is not None:
-            explicit_before = True
-            before.extend(prog)
+    # before: outermost to innermost over nodes whose range starts here;
     # after: innermost to outermost over nodes whose range ends here
-    after: List[object] = []
-    explicit_after = False
-    for gid, _lo, hi in reversed(chain):
-        if hi != index + 1:
-            break
-        prog = _decode_attr(_find_attr(store.annotation_for(gid), "after"))
-        if prog is not None:
-            explicit_after = True
-            after.extend(prog)
-    if not explicit_before:
-        before = list(defaults.before)
-    if not explicit_after:
-        after = list(defaults.after)
-    return tuple(before), tuple(after)
+    return (_joined(store, opened, "before", defaults.before),
+            _joined(store, (gid for gid, _lo in closed), "after", defaults.after))
 
 
 def effective_whitespace(leaf: ParseLeaf, tree: ParseTree,
                          store: AnnotationStore):
     """The (before, after) whitespace programs for one leaf of the tree."""
     defaults = _Defaults(store)
-    for index, (candidate, chain) in enumerate(token_contexts(tree)):
+    for candidate, opened, closed in token_contexts(tree):
         if candidate is leaf:
-            return _programs(chain, index, store, defaults)
+            return _programs(opened, closed, store, defaults)
     raise ValueError("leaf does not belong to tree")
 
 
@@ -214,8 +188,8 @@ def format_tree(tree: ParseTree, store: AnnotationStore) -> str:
     defaults = _Defaults(store)
     state = FormatterState(defaults.indent_unit)
     pending: Optional[WhitespaceProgram] = None
-    for index, (leaf, chain) in enumerate(token_contexts(tree)):
-        before, after = _programs(chain, index, store, defaults)
+    for leaf, opened, closed in token_contexts(tree):
+        before, after = _programs(opened, closed, store, defaults)
         if pending is not None:
             state.run(pending)
         state.run(before)

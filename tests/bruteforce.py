@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from itertools import product
 
-from . import grammar as g
-from .patterns import (AltPat, AnyLex, AnySym, Bind, EmptyPat, Gap, IterPat,
-                       LitPat, MatchResult, Named, ProdPat, ProdsWildcard,
-                       RulePattern, SeqPat, VarRef, collect_vars)
+from gramweave import grammar as g
+from gramweave.patterns import (AltPat, AnyLex, AnySym, Bind, EmptyPat, Gap,
+                                IterPat, LitPat, MatchResult, Named, ProdPat,
+                                ProdsWildcard, RulePattern, SeqPat, VarRef,
+                                collect_vars)
 
 # one contribution: (variable name, nodes it gains here, made at a ref site)
 _DEF = False

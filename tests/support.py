@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against the data model only, not
 against the implementation under test: the recognizer oracle enumerates
-the grammar's language instead of parsing, the reference formatter
-interprets whitespace programs with its own event loop, and the reference
-store writer lets json.dumps lay out a document built as dicts.
+the grammar's language instead of parsing, the reference formatter walks
+the parse tree for its own chains and interprets whitespace programs with
+its own event loop, and the reference store writer lets json.dumps lay out
+a document built as dicts.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 from gramweave import grammar as G
 from gramweave.annotations import (IntValue, NameValue, PunctValue,
                                    RecordValue, SeqValue, StrValue)
-from gramweave.earley import ParseLeaf, ParseNode, _compile, token_contexts
+from gramweave.earley import ParseLeaf, ParseNode, _compile
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -393,6 +394,77 @@ def _ref_attr(store, gid: int, name: str) -> list | None:
     return None
 
 
+def reference_chains(tree) -> list:
+    """For each leaf in order: (leaf, chain of (gt_id, lo, hi)).
+
+    The chain lists every enclosing derivation step from outermost to the
+    leaf itself, with the half-open token-index range each one derived;
+    rule applications contribute two links, the defined symbol and the
+    chosen production.  Two walks: the first finds where each node's range
+    ends, the second copies the enclosing chain for every leaf.
+    """
+    root = tree.root
+    his = {}
+    count = 0
+    stack: list = [(root, iter(root.children))]
+    while stack:
+        node, kids = stack[-1]
+        for kid in kids:
+            if isinstance(kid, ParseLeaf):
+                count += 1
+            else:
+                stack.append((kid, iter(kid.children)))
+                break
+        else:
+            stack.pop()
+            his[id(node)] = count
+    out: list = []
+    chain: list = []
+    count = 0
+    stack = [(0, iter((root,)))]  # per open node: how many links it added
+    while stack:
+        links, kids = stack[-1]
+        for node in kids:
+            if isinstance(node, ParseLeaf):
+                out.append((node, chain + [(node.gt_id, count, count + 1)]))
+                count += 1
+                continue
+            hi = his[id(node)]
+            chain.append((node.gt_id, count, hi))
+            if node.kind == "rule":
+                chain.append((node.production_id, count, hi))
+                stack.append((2, iter(node.children)))
+            else:
+                stack.append((1, iter(node.children)))
+            break
+        else:
+            stack.pop()
+            del chain[len(chain) - links:]
+    return out
+
+
+def step_counts(root) -> tuple:
+    """(all, deriving): derivation steps in a parse tree, two per rule
+    application, and those among them that derive at least one token."""
+    order, stack = [], [root]
+    while stack:  # preorder: every node before its children
+        node = stack.pop()
+        order.append(node)
+        if not isinstance(node, ParseLeaf):
+            stack.extend(node.children)
+    derives = {}
+    every = deriving = 0
+    for node in reversed(order):
+        if isinstance(node, ParseLeaf):
+            steps, derives[id(node)] = 1, True
+        else:
+            steps = 2 if node.kind == "rule" else 1
+            derives[id(node)] = any(derives[id(c)] for c in node.children)
+        every += steps
+        deriving += steps if derives[id(node)] else 0
+    return every, deriving
+
+
 def reference_format(tree, store) -> str:
     ga = store.grammar_annotation
     default_before, default_after, unit = [], [], "    "
@@ -405,7 +477,7 @@ def reference_format(tree, store) -> str:
             elif attr.name == "indentUnit":
                 unit = attr.value.text
     events = []
-    contexts = token_contexts(tree)
+    contexts = reference_chains(tree)
     for i, (leaf, chain) in enumerate(contexts):
         if i > 0:
             prev_chain = contexts[i - 1][1]

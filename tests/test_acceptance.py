@@ -18,9 +18,9 @@ from gramweave import (Multiplicity, NotationError, WeaveFailure,
                        render_html, serialize_grammar, serialize_store,
                        strip_ansi, tokenize, weave)
 from gramweave import patterns as P
-from gramweave.bruteforce import brute_force_match
 from gramweave.cli import main
 from gramweave.prettyprint import format_tree
+from bruteforce import brute_force_match
 from support import (FIXTURES, fixture, random_grammar,
                      random_rule_pattern_text, reference_format,
                      results_as_sets)

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -111,6 +112,22 @@ class TestStore:
         store = AnnotationStore.for_tree(tree)
         assert store.lookup(self.literal_id(tree), "group") is None
 
+    def test_attribute_is_keyed_by_namespace_and_name(self, tree):
+        store = AnnotationStore.for_tree(tree)
+        nid = self.literal_id(tree)
+        store.attach(nid, parse_annotation("{ color = red;\nhtml:color = blue; f }"),
+                     Provenance(1, 2))
+        attr = store.attribute(nid, "color", "html")
+        assert attr.value == NameValue("blue")
+        assert (attr.provenance, attr.loc) == (Provenance(1, 2), (2, 6))
+        assert store.attribute(nid, "color").value == NameValue("red")
+        assert store.attribute(nid, "color", "tex") is None
+        assert store.attribute(tree.root.id, "color") is None
+        assert store.lookup(nid, "f") is FLAG
+        # attach order is kept
+        assert [a.key for a in store.annotation_for(nid).attributes] == \
+            [(None, "color"), ("html", "color"), (None, "f")]
+
     def test_weave_lookup_examples(self, java5, highlight_store, pretty_store):
         class_lit = next(n.id for n in iter_nodes(java5)
                          if n.kind == "literal" and n.detail == "class")
@@ -163,6 +180,29 @@ class TestSerialization:
         assert node_ids == sorted(node_ids)
         assert all(a["name"] == "group" for a in data["annotations"])
         assert len(data["annotations"]) == 9
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [],
+        lambda doc: {k: v for k, v in doc.items() if k != "grammar"},
+        lambda doc: dict(doc, annotations=[dict(doc["annotations"][0], node=9999)]),
+        lambda doc: dict(doc, annotations=[dict(doc["annotations"][0],
+                                                value={"type": "int"})]),
+        lambda doc: {k: v for k, v in doc.items() if k != "annotations"},
+        lambda doc: dict(doc, grammar=dict(doc["grammar"], nodes=5)),
+        lambda doc: dict(doc, annotations=[["node", 0]]),
+        lambda doc: dict(doc, annotations=[dict(doc["annotations"][0],
+                                                provenance=[0, None])]),
+    ], ids=["list", "no-grammar", "unknown-node", "int-without-value",
+            "no-annotations", "nodes-not-a-list", "entry-not-an-object",
+            "provenance-not-an-object"])
+    def test_malformed_document(self, edit):
+        tree = parse_grammar("a : 'x' ;")
+        store = AnnotationStore.for_tree(tree)
+        store.attach(tree.root.id, parse_annotation("{ n = 1 }"), Provenance(0, None))
+        doc = json.loads(serialize_store(store))
+        assert deserialize_store(json.dumps(doc)) == store
+        with pytest.raises(NotationError):
+            deserialize_store(json.dumps(edit(doc)))
 
 
 ANY = Multiplicity(0, None)

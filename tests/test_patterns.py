@@ -4,9 +4,9 @@ import pytest
 
 from gramweave import (NotationError, match_rules, match_within, parse_grammar,
                        parse_rule_pattern, parse_subpattern)
-from gramweave.bruteforce import brute_force_match, brute_force_within
 from gramweave.patterns import (AnySym, Bind, IterPat, Named, ProdsWildcard,
                                 RulePattern, VarRef, _Matcher)
+from bruteforce import brute_force_match, brute_force_within
 from support import (gap_sequence_text, long_grammar_text, random_grammar,
                      random_rule_pattern_text, results_as_sets)
 

@@ -9,8 +9,18 @@ from gramweave import (LexError, NotationError, ParseError, Token, leaves,
 from gramweave.grammar import literal_texts
 from gramweave.earley import _compile
 from support import (LanguageTooLarge, enumerate_language, fixture,
-                     oracle_accepts, oracle_parse, random_grammar, token_shape,
+                     oracle_accepts, oracle_parse, random_grammar,
+                     reference_chains, step_counts, token_shape,
                      tree_difference)
+
+# (grammar, start rule, input) for every fixture input
+FIXTURE_INPUTS = [
+    ("arith.g", "expr", "expr.txt"),
+    ("java5.g", "normalClassDeclaration", "classbody.java"),
+    ("java5.g", "normalClassDeclaration", "generics.java"),
+    ("java5.g", "typeParameters", "typeparams.txt"),
+    ("java14.g", "classDeclaration", "classbody.java"),
+]
 
 
 class TestLexerSpec:
@@ -202,6 +212,32 @@ def leaves_of(node):
     return [l.token.text for l in leaves(ParseTreeView(node))]
 
 
+def implied_contexts(tree):
+    """(opened, closed) per token, as read off the reference chains."""
+    out = []
+    for i, (leaf, chain) in enumerate(reference_chains(tree)):
+        opened = [gid for gid, lo, _hi in chain if lo == i]
+        closed = [(gid, lo) for gid, lo, hi in reversed(chain) if hi == i + 1]
+        out.append((leaf, opened, closed))
+    return out
+
+
+def nested_ranges(contexts):
+    """Pair every opened step with its closing; the ranges in pairing order.
+
+    Steps nest, so each closing must match the innermost step still open,
+    and every step must be closed by the end.
+    """
+    open_steps, ranges = [], []
+    for i, (_leaf, opened, closed) in enumerate(contexts):
+        open_steps.extend((gid, i) for gid in opened)
+        for gid, lo in closed:
+            assert open_steps.pop() == (gid, lo)
+            ranges.append((gid, lo, i + 1))
+    assert open_steps == []
+    return ranges
+
+
 class TestTokenContexts:
     def test_chain_shape(self, arith, arith_lexer):
         tokens = tokenize(arith_lexer, arith, "1+2")
@@ -209,22 +245,67 @@ class TestTokenContexts:
         contexts = token_contexts(pt)
         assert len(contexts) == len(tokens)
         expr_def = arith.rule_index["expr"]
-        for i, (leaf, chain) in enumerate(contexts):
+        # outermost step is the start rule over the whole stream
+        assert contexts[0][1][0] == expr_def.id
+        assert contexts[-1][2][-1] == (expr_def.id, 0)
+        for i, (leaf, opened, closed) in enumerate(contexts):
             assert leaf.token is tokens[i]
-            # outermost link is the start rule over the whole stream
-            assert chain[0] == (expr_def.id, 0, len(tokens))
-            # the leaf itself is the last link
-            assert chain[-1] == (leaf.gt_id, i, i + 1)
-            for (_, lo1, hi1), (_, lo2, hi2) in zip(chain, chain[1:]):
-                assert lo1 <= lo2 and hi2 <= hi1
+            # the leaf itself is the innermost step, over its own token
+            assert opened[-1] == leaf.gt_id
+            assert closed[0] == (leaf.gt_id, i)
+            # enclosing steps close innermost first, so their starts descend
+            los = [lo for _, lo in closed]
+            assert los == sorted(los, reverse=True)
+        ranges = nested_ranges(contexts)
+        assert (expr_def.id, 0, len(tokens)) in ranges
 
     def test_rule_links_pair_symbol_and_production(self, arith, arith_lexer):
         pt = parse_input(arith, "expr", tokenize(arith_lexer, arith, "1"))
-        (_, chain) = token_contexts(pt)[0]
+        [(_, opened, closed)] = token_contexts(pt)
         expr_def = arith.rule_index["expr"]
-        ids = [gid for gid, _, _ in chain]
+        production = expr_def.children[0].id
+        at = opened.index(expr_def.id)
+        assert opened[at + 1] == production
+        ids = [gid for gid, _ in closed]
         at = ids.index(expr_def.id)
-        assert ids[at + 1] == expr_def.children[0].id
+        assert ids[at - 1] == production
+
+    @pytest.mark.parametrize("grammar, start, name", FIXTURE_INPUTS)
+    def test_fixture_inputs_match_reference_chains(self, request, grammar,
+                                                   start, name):
+        tree = request.getfixturevalue(grammar[:-2])
+        lexer = request.getfixturevalue("arith_lexer" if grammar == "arith.g"
+                                        else "java_lexer")
+        tokens = tokenize(lexer, tree, fixture(f"inputs/{name}"))
+        pt = parse_input(tree, start, tokens)
+        contexts = token_contexts(pt)
+        assert contexts == implied_contexts(pt)
+        assert len(nested_ranges(contexts)) == step_counts(pt.root)[1]
+
+    def test_random_sentences_match_reference_chains(self):
+        rng = random.Random(20261018)
+        compared = empty_steps = 0
+        for _ in range(60):
+            tree = random_grammar(rng)
+            start = tree.root.children[0].detail
+            try:
+                language = enumerate_language(tree, start, max_len=5, cap=500)
+            except LanguageTooLarge:
+                continue
+            for shape in [()] + sample_shapes(rng, language, 6):
+                try:
+                    pt = parse_input(tree, start, tokens_for(shape))
+                except ParseError:
+                    continue
+                contexts = token_contexts(pt)
+                assert contexts == implied_contexts(pt), serialize_grammar(tree)
+                every, deriving = step_counts(pt.root)
+                assert len(nested_ranges(contexts)) == deriving
+                compared += 1
+                empty_steps += every > deriving
+        assert compared >= 200
+        # some trees hold steps that derive nothing, which appear nowhere
+        assert empty_steps > 0
 
 
 class TestRecognitionOracle:
@@ -328,13 +409,7 @@ class TestTreeOracle:
         # both extraction paths ran: with and without unit cycles
         assert cyclic == {False, True}
 
-    @pytest.mark.parametrize("grammar, start, name", [
-        ("arith.g", "expr", "expr.txt"),
-        ("java5.g", "normalClassDeclaration", "classbody.java"),
-        ("java5.g", "normalClassDeclaration", "generics.java"),
-        ("java5.g", "typeParameters", "typeparams.txt"),
-        ("java14.g", "classDeclaration", "classbody.java"),
-    ])
+    @pytest.mark.parametrize("grammar, start, name", FIXTURE_INPUTS)
     def test_fixture_inputs(self, request, grammar, start, name):
         tree = request.getfixturevalue(grammar[:-2])
         lexer = request.getfixturevalue("arith_lexer" if grammar == "arith.g"

@@ -5,12 +5,15 @@ the input repeats, so any recursion over tokens or tree levels would fail
 here with RecursionError.
 """
 
+from collections import Counter
+
 import pytest
 
 from gramweave import (assign_groups, format_tree, leaves, parse_aspect,
-                       parse_input, render_ansi, strip_ansi, tokenize, weave)
+                       parse_input, render_ansi, strip_ansi, token_contexts,
+                       tokenize, weave)
 from support import (chain_arith_text, java_class_text, nested_arith_text,
-                     reference_format)
+                     reference_format, step_counts)
 
 pytestmark = pytest.mark.usefixtures("default_recursion_limit")
 
@@ -36,6 +39,19 @@ class TestArith:
         spans, formatted = run_backends(tree, text, arith_store)
         assert [s.group for s in spans].count("number") == 1
         assert formatted == text  # the store has no whitespace advice
+
+    def test_deep_nesting_contexts_are_linear(self, arith, arith_lexer):
+        text = nested_arith_text(1000)
+        tree = parse_input(arith, "expr", tokenize(arith_lexer, arith, text))
+        contexts = token_contexts(tree)
+        # a step is (grammar-tree id, first token); each one that derives a
+        # token is listed once where it opens and once where it closes
+        opened = Counter((gid, i) for i, (_, ids, _) in enumerate(contexts)
+                         for gid in ids)
+        closed = Counter(step for _, _, steps in contexts for step in steps)
+        assert set(opened.values()) == set(closed.values()) == {1}
+        assert opened == closed
+        assert len(opened) == step_counts(tree.root)[1]
 
     def test_long_chain(self, arith, arith_lexer, arith_store):
         text = chain_arith_text(5000)
