@@ -26,8 +26,7 @@ from .lexer import LexerSpec, Token, parse_lexer_spec, tokenize
 from .patterns import (MatchResult, RulePattern, match_rules, match_within,
                        parse_rule_pattern, parse_subpattern)
 from .prettyprint import (DEC_INDENT, INC_INDENT, FormatterState, Text,
-                          decode_whitespace, effective_whitespace,
-                          format_tree)
+                          decode_whitespace, format_tree)
 
 __version__ = "0.1.0"
 
@@ -49,6 +48,6 @@ __all__ = [
     "MatchResult", "RulePattern", "match_rules", "match_within",
     "parse_rule_pattern", "parse_subpattern",
     "DEC_INDENT", "INC_INDENT", "FormatterState", "Text",
-    "decode_whitespace", "effective_whitespace", "format_tree",
+    "decode_whitespace", "format_tree",
     "__version__",
 ]

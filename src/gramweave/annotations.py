@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 from .errors import ConflictError, NotationError
-from .grammar import GrammarTree, iter_nodes
+from .grammar import GrammarTree
 from .scan import Cursor
 
 # Single-character values allowed inside {{ }} sequences.
@@ -188,6 +188,7 @@ def _attribute(cur: Cursor) -> Attribute:
         raise cur.error("expected attribute name")
     if cur.accept(":"):
         namespace = name
+        cur.skip_ws()
         loc = cur.location()
         name = cur.expect_name("attribute name")
     value = None
@@ -237,7 +238,7 @@ def _sequence(cur: Cursor) -> SeqValue:
 
 @dataclass(frozen=True)
 class NodeMeta:
-    """What the store remembers about a grammar-tree node."""
+    """What a store document records about a grammar-tree node."""
 
     kind: str
     detail: Optional[str]
@@ -249,30 +250,30 @@ class AnnotationStore:
     """Annotations keyed by grammar-tree node id.
 
     The store knows the shape of the tree it was built for (node ids, kinds,
-    spans) so that attachments can be validated and serialized without the
-    tree object itself.  Each annotated node maps ``(namespace, name)`` to
-    its attribute, in attach order.
+    spans) so that attachments can be validated and serialized.  nodes maps
+    each node id to its NodeMeta, or, for a store made by for_tree, is the
+    tree's own by_id table, read in place.  Each annotated node maps
+    ``(namespace, name)`` to its attribute, in attach order.
     """
 
     def __init__(self, nodes: dict, root_id: int):
-        self._nodes = dict(nodes)
+        self._nodes = nodes  # node id -> NodeMeta or GtNode
         self._root_id = root_id
         self._by_node: dict = {}  # node id -> {(namespace, name): Attribute}
 
     @classmethod
     def for_tree(cls, tree: GrammarTree) -> "AnnotationStore":
-        nodes = {}
-        for node in iter_nodes(tree):
-            nodes[node.id] = NodeMeta(node.kind, node.detail, node.span,
-                                      tuple(c.id for c in node.children))
-        return cls(nodes, tree.root.id)
+        return cls(tree.by_id, tree.root.id)
 
     @property
     def root_id(self) -> int:
         return self._root_id
 
     def node_meta(self, node_id: int) -> NodeMeta:
-        return self._nodes[node_id]
+        node = self._nodes[node_id]
+        if isinstance(node, NodeMeta):
+            return node
+        return NodeMeta(node.kind, node.detail, node.span, tuple(c.id for c in node.children))
 
     def annotation_for(self, node_id: int) -> Annotation:
         return Annotation(tuple(self._by_node.get(node_id, {}).values()))
@@ -371,7 +372,7 @@ def _value_from_json(data) -> Optional[Value]:
         return None
     kind = data["type"]
     if kind == "int":
-        return IntValue(data["value"])
+        return IntValue(_checked(data["value"], _is_int, "an int value"))
     if kind == "str":
         return StrValue(data["text"])
     if kind == "name":
@@ -409,7 +410,10 @@ _NODE = """      {{
         "id": {},
         "kind": {},
         "detail": {},
-        "span": {},
+        "span": [
+          {},
+          {}
+        ],
         "children": {}
       }}"""
 
@@ -430,6 +434,13 @@ _SCALAR = """{{
         "type": "{}",
         "{}": {}
       }}"""
+
+
+def _child_ids(node):
+    """A NodeMeta holds its children's ids, a grammar-tree node its children."""
+    if isinstance(node, NodeMeta):
+        return node.children
+    return [c.id for c in node.children]
 
 
 def _value_text(value: Optional[Value]) -> str:
@@ -453,9 +464,9 @@ def serialize_store(store: AnnotationStore) -> str:
     """Write the layout above from templates, without building the document."""
     nodes = []
     for node_id in sorted(store._nodes):
-        meta = store._nodes[node_id]
-        nodes.append(_NODE.format(node_id, _quote(meta.kind), _quote(meta.detail),
-                                  _int_list(meta.span), _int_list(meta.children)))
+        node = store._nodes[node_id]
+        nodes.append(_NODE.format(node_id, _quote(node.kind), _quote(node.detail),
+                                  *node.span, _int_list(_child_ids(node))))
     annotations = []
     for node_id in store.annotated_nodes():
         for attr in store._by_node[node_id].values():
@@ -470,6 +481,28 @@ def serialize_store(store: AnnotationStore) -> str:
             % (store.root_id, _entries(nodes, "    "), _entries(annotations, "  ")))
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true and false load as bool, an int subclass
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+def _is_span(value) -> bool:
+    return _is_int_list(value) and len(value) == 2
+
+
+def _is_text(value) -> bool:
+    return value is None or isinstance(value, str)
+
+
+def _checked(value, test, what: str):
+    if not test(value):
+        raise NotationError(f"{what} in store document is malformed: {value!r}")
+    return value
+
+
 def deserialize_store(text: str) -> AnnotationStore:
     try:
         doc = json.loads(text)
@@ -482,8 +515,11 @@ def deserialize_store(text: str) -> AnnotationStore:
     try:
         nodes = {}
         for entry in doc["grammar"]["nodes"]:
-            nodes[entry["id"]] = NodeMeta(entry["kind"], entry["detail"],
-                                          tuple(entry["span"]), tuple(entry["children"]))
+            span = _checked(entry["span"], _is_span, "a node span")
+            children = _checked(entry["children"], _is_int_list, "a node's children")
+            nodes[entry["id"]] = NodeMeta(_checked(entry["kind"], _is_text, "a node kind"),
+                                          _checked(entry["detail"], _is_text, "a node detail"),
+                                          tuple(span), tuple(children))
         store = AnnotationStore(nodes, doc["grammar"]["root"])
         for entry in doc["annotations"]:
             if entry["node"] not in nodes:

@@ -28,10 +28,11 @@ assignment is stable across runs for identical input text.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import NotationError
-from .scan import Cursor, escape_string
+from .scan import _ESCAPES, Cursor, escape_string
 
 GRAMMAR = "grammar"
 SYMBOL_DEF = "symbol_def"
@@ -53,15 +54,15 @@ OPT = "opt"
 _SUFFIX_KIND = {"*": STAR, "+": PLUS, "?": OPT}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GtNode:
     """One grammar tree node.
 
     detail holds the per-kind payload: the name for symbol_def/symbol_ref,
     the text for literal, the iteration kind (star/plus/opt) for iteration,
-    None otherwise.  structure_key is a recursive (kind, detail, children)
-    tuple: two nodes are structurally equal iff their keys are equal,
-    regardless of ids and spans.
+    None otherwise.  The nodes of one tree share its pre-order table
+    (index = id); a node's subtree is the run of ids from its own up to
+    end, exclusive.
     """
 
     id: int
@@ -69,10 +70,21 @@ class GtNode:
     detail: str | None
     children: tuple["GtNode", ...]
     span: tuple[int, int]
-    structure_key: tuple = field(repr=False)
+    end: int
+    _preorder: list["GtNode"] = field(repr=False)
 
     def is_terminal_ref(self) -> bool:
         return self.kind == SYMBOL_REF and self.detail[0].isupper()
+
+    @property
+    def structure_key(self) -> tuple:
+        """A recursive (kind, detail, children) tuple: two nodes are
+        structurally equal iff their keys are equal, regardless of ids and
+        spans.  Built on each call, children before parents."""
+        keys = {}
+        for n in reversed(self._preorder[self.id:self.end]):
+            keys[n.id] = (n.kind, n.detail, tuple([keys.pop(c.id) for c in n.children]))
+        return keys[self.id]
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,19 +98,12 @@ class GrammarTree:
 
 def descendants(node: GtNode) -> list[GtNode]:
     """Pre-order traversal of the subtree rooted at node, excluding node."""
-    out: list[GtNode] = []
-    stack = list(reversed(node.children))
-    while stack:
-        n = stack.pop()
-        out.append(n)
-        stack.extend(reversed(n.children))
-    return out
+    return node._preorder[node.id + 1:node.end]
 
 
 def iter_nodes(tree: GrammarTree):
     """Pre-order traversal including the root."""
-    yield tree.root
-    yield from descendants(tree.root)
+    return iter(tree.root._preorder)
 
 
 def literal_texts(tree: GrammarTree) -> list[str]:
@@ -112,10 +117,52 @@ def literal_texts(tree: GrammarTree) -> list[str]:
 
 # -- parsing -----------------------------------------------------------------
 
+# One pass over the text yields every lexeme; whitespace and comments match
+# no group.  A lexeme's kind is its group's name, or the character itself
+# for punctuation.  A character no lexeme starts with ends the list: the
+# parser never consumes it, so it stops there with an error.
+_LEXEME = re.compile(r"""
+    [ \t\r\n]+ | //[^\n]*
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | '(?P<str>(?:[^'\\\n]|\\[nt\\'])*)'
+  | (?P<empty>\#empty)(?![A-Za-z0-9_])
+  | (?P<punct>[():;|*+?])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)")
+# "bad string" is a quote that opens no well-formed string, "bad atom" other
+# text the character-level rules read as the start of an atom
+_ATOM_START = {"name", "str", "empty", "(", "bad string", "bad atom"}
+
+
+def _lex(text: str) -> list[tuple]:
+    """(kind, text, start, end) per lexeme, then ("eof", ...) if all is well."""
+    out = []
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        value = m.group(kind)
+        if kind == "punct":
+            kind = value
+        elif kind == "str" and "\\" in value:
+            value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], value)
+        elif kind == "bad":
+            if value == "'":
+                kind = "bad string"
+            elif value.isalpha() or text.startswith("#empty", m.start()):
+                kind = "bad atom"
+            out.append((kind, value, *m.span()))
+            return out
+        out.append((kind, value, *m.span()))
+    out.append(("eof", None, len(text), len(text)))
+    return out
+
+
 class _Raw:
     """Mutable node used during parsing, frozen into GtNode afterwards."""
 
-    __slots__ = ("kind", "detail", "children", "span")
+    __slots__ = ("kind", "detail", "children", "span", "id")
 
     def __init__(self, kind, detail, children, span):
         self.kind = kind
@@ -124,123 +171,125 @@ class _Raw:
         self.span = span
 
 
+def _fail(text: str, source: str, message: str, pos: int):
+    line = text.count("\n", 0, pos) + 1
+    col = pos - text.rfind("\n", 0, pos)
+    raise NotationError(message, source, line, col)
+
+
 def parse_grammar(text: str, source: str = "<grammar>") -> GrammarTree:
-    cur = Cursor(text, source)
+    lexemes = _lex(text)
     rules: list[_Raw] = []
     names: dict[str, int] = {}
-    while not cur.eof():
-        start = cur.pos
-        name = cur.expect_name("rule name")
+    i = 0
+    while lexemes[i][0] != "eof":
+        kind, name, start, _ = lexemes[i]
+        if kind != "name":
+            _fail(text, source, "expected rule name", start)
         if name in names:
-            cur.error(f"duplicate rule '{name}'", start)
+            _fail(text, source, f"duplicate rule '{name}'", start)
         names[name] = start
         if name[0].isupper():
-            cur.error(f"terminal name '{name}' cannot be defined as a rule", start)
-        prods: list[_Raw] = []
-        cur.expect(":", f"rule '{name}'")
-        prods.append(_parse_production(cur))
-        while cur.accept(":"):
-            prods.append(_parse_production(cur))
-        cur.expect(";", f"rule '{name}'")
-        rules.append(_Raw(SYMBOL_DEF, name, prods, (start, cur.pos)))
-    root = _Raw(GRAMMAR, None, rules, (0, len(text)))
-    _check_references(cur, root, names)
-    return _freeze_tree(root, text, source)
+            _fail(text, source, f"terminal name '{name}' cannot be defined as a rule", start)
+        i += 1
+        if lexemes[i][0] != ":":
+            _fail(text, source, f"expected ':' in rule '{name}'", lexemes[i][2])
+        prods = []
+        while lexemes[i][0] == ":":
+            prod, i = _production(lexemes, i + 1, text, source)
+            prods.append(prod)
+        if lexemes[i][0] != ";":
+            _fail(text, source, f"expected ';' in rule '{name}'", lexemes[i][2])
+        rules.append(_Raw(SYMBOL_DEF, name, prods, (start, lexemes[i][3])))
+        i += 1
+    return _freeze(_Raw(GRAMMAR, None, rules, (0, len(text))), names, text, source)
 
 
-def _parse_production(cur: Cursor) -> _Raw:
-    body = _parse_alternative(cur)
-    children = body.children if body.kind == SEQUENCE else [body]
-    return _Raw(PRODUCTION, None, children, body.span)
+def _production(lexemes: list, i: int, text: str, source: str) -> tuple[_Raw, int]:
+    """Parse the production body that starts at lexeme i; return it and the
+    index of the lexeme after it.
+
+    An explicit stack holds the groups that parentheses opened, so nesting
+    depth costs no Python recursion.  Normalization as in the module
+    docstring: a group leaves no node of its own (its content takes the
+    group's span), and one-element sequences and alternatives collapse.
+    """
+    outer = []  # enclosing groups: (members, items, start of their '(')
+    members, items, opened = [], [], None
+    while True:
+        kind, value, start, end = lexemes[i]
+        i += 1
+        if kind == "(":
+            outer.append((members, items, opened))
+            members, items, opened = [], [], start
+            continue
+        if kind == "name":
+            atom = _Raw(SYMBOL_REF, value, (), (start, end))
+        elif kind == "str":
+            if not value:
+                _fail(text, source, "empty literal", start)
+            atom = _Raw(LITERAL, value, (), (start, end))
+        elif kind == "empty":
+            atom = _Raw(EMPTY, None, (), (start, end))
+        elif kind == "bad string":
+            cur = Cursor(text, source)
+            cur.pos = start
+            cur.accept_string()  # raises the error that names the fault
+        else:
+            _fail(text, source, "expected a symbol, literal, '#empty', or '('", start)
+        while True:  # the atom is complete; close every group that ends here
+            kind = lexemes[i][0]
+            if kind in _SUFFIX_KIND:
+                atom = _Raw(ITERATION, _SUFFIX_KIND[kind], [atom],
+                            (atom.span[0], lexemes[i][3]))
+                i += 1
+                kind = lexemes[i][0]
+            items.append(atom)
+            if kind in _ATOM_START:
+                break
+            members.append(items[0] if len(items) == 1 else
+                           _Raw(SEQUENCE, None, items, (items[0].span[0], items[-1].span[1])))
+            if kind == "|":
+                items = []
+                i += 1
+                break
+            body = members[0] if len(members) == 1 else \
+                _Raw(ALTERNATIVE, None, members, (members[0].span[0], members[-1].span[1]))
+            if opened is None:
+                children = body.children if body.kind == SEQUENCE else [body]
+                return _Raw(PRODUCTION, None, children, body.span), i
+            if kind != ")":
+                _fail(text, source, "expected ')'", lexemes[i][2])
+            body.span = (opened, lexemes[i][3])
+            i += 1
+            atom = body
+            members, items, opened = outer.pop()
 
 
-def _parse_alternative(cur: Cursor) -> _Raw:
-    first = _parse_sequence(cur)
-    members = [first]
-    while cur.accept("|"):
-        members.append(_parse_sequence(cur))
-    if len(members) == 1:
-        return first
-    return _Raw(ALTERNATIVE, None, members, (first.span[0], members[-1].span[1]))
-
-
-def _parse_sequence(cur: Cursor) -> _Raw:
-    items = [_parse_item(cur)]
-    while _at_atom(cur):
-        items.append(_parse_item(cur))
-    if len(items) == 1:
-        return items[0]
-    return _Raw(SEQUENCE, None, items, (items[0].span[0], items[-1].span[1]))
-
-
-def _at_atom(cur: Cursor) -> bool:
-    c = cur.peek_char()
-    if not c:
-        return False
-    return c.isalpha() or c in "_'(" or (c == "#" and cur.text.startswith("#empty", cur.pos))
-
-
-def _parse_item(cur: Cursor) -> _Raw:
-    atom = _parse_atom(cur)
-    cur.skip_ws()
-    c = cur.text[cur.pos] if cur.pos < len(cur.text) else ""
-    if c in _SUFFIX_KIND:
-        cur.pos += 1
-        return _Raw(ITERATION, _SUFFIX_KIND[c], [atom], (atom.span[0], cur.pos))
-    return atom
-
-
-def _parse_atom(cur: Cursor) -> _Raw:
-    cur.skip_ws()
-    start = cur.pos
-    if cur.accept("("):
-        inner = _parse_alternative(cur)
-        cur.expect(")")
-        inner.span = (start, cur.pos)
-        return inner
-    if cur.accept_word("#empty"):
-        return _Raw(EMPTY, None, [], (start, cur.pos))
-    text = cur.accept_string()
-    if text is not None:
-        if text == "":
-            cur.error("empty literal", start)
-        return _Raw(LITERAL, text, [], (start, cur.pos))
-    name = cur.accept_name()
-    if name is not None:
-        return _Raw(SYMBOL_REF, name, [], (start, cur.pos))
-    cur.error("expected a symbol, literal, '#empty', or '('")
-
-
-def _check_references(cur: Cursor, root: _Raw, names: dict[str, int]) -> None:
-    def walk(n: _Raw):
-        if n.kind == SYMBOL_REF and not n.detail[0].isupper() and n.detail not in names:
-            cur.error(f"reference to undefined rule '{n.detail}'", n.span[0])
-        for c in n.children:
-            walk(c)
-
-    walk(root)
-
-
-def _freeze_tree(root: _Raw, source: str, origin: str = "<grammar>") -> GrammarTree:
-    order: dict[int, int] = {}
+def _freeze(root: _Raw, names: dict[str, int], text: str, origin: str) -> GrammarTree:
+    """Number the nodes in pre-order, check that every nonterminal reference
+    names a rule, then build the GtNodes children first."""
+    order: list[_Raw] = []
     stack = [root]
-    while stack:  # pre-order id assignment
+    while stack:
         n = stack.pop()
-        order[id(n)] = len(order)
-        stack.extend(reversed(n.children))
-
-    by_id: dict[int, GtNode] = {}
-
-    def freeze(n: _Raw) -> GtNode:
-        children = tuple(freeze(c) for c in n.children)
-        key = (n.kind, n.detail, tuple(c.structure_key for c in children))
-        node = GtNode(order[id(n)], n.kind, n.detail, children, tuple(n.span), key)
-        by_id[node.id] = node
-        return node
-
-    froot = freeze(root)
-    index = {sd.detail: sd for sd in froot.children}
-    return GrammarTree(froot, index, by_id, source, origin)
+        n.id = len(order)
+        order.append(n)
+        if n.children:
+            stack.extend(reversed(n.children))
+        elif n.kind == SYMBOL_REF and n.detail not in names and not n.detail[0].isupper():
+            _fail(text, origin, f"reference to undefined rule '{n.detail}'", n.span[0])
+    nodes: list[GtNode] = [None] * len(order)
+    for n in reversed(order):
+        if n.children:
+            kids = tuple([nodes[c.id] for c in n.children])
+            end = kids[-1].end
+        else:
+            kids, end = (), n.id + 1
+        nodes[n.id] = GtNode(n.id, n.kind, n.detail, kids, n.span, end, nodes)
+    root = nodes[0]
+    index = {sd.detail: sd for sd in root.children}
+    return GrammarTree(root, index, dict(enumerate(nodes)), text, origin)
 
 
 # -- serialization -----------------------------------------------------------

@@ -685,10 +685,9 @@ def match_within(pattern, scope: g.GtNode, kinds: dict | None = None,
     m = _Matcher(kinds if kinds is not None else collect_vars(pattern))
     env0 = dict(bindings or {})
     gate = _gate(pattern)
+    nodes = g.descendants(scope)
     out = []
-    for node in g.descendants(scope):
-        if gate is not None and not gate(node):
-            continue
+    for node in nodes if gate is None else filter(gate, nodes):
         env = _first(m.one(pattern, node, env0))
         if env is not None:
             out.append(_result(node, env))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .annotations import AnnotationStore, Attribute, NameValue, SeqValue, StrValue
-from .earley import ParseLeaf, ParseTree, token_contexts
+from .earley import ParseTree, token_contexts
 from .errors import WhitespaceError
 
 DEFAULT_INDENT_UNIT = "    "
@@ -119,16 +119,6 @@ def _programs(opened, closed, store: AnnotationStore,
     # after: innermost to outermost over nodes whose range ends here
     return (_joined(store, opened, "before", defaults.before),
             _joined(store, (gid for gid, _lo in closed), "after", defaults.after))
-
-
-def effective_whitespace(leaf: ParseLeaf, tree: ParseTree,
-                         store: AnnotationStore):
-    """The (before, after) whitespace programs for one leaf of the tree."""
-    defaults = _Defaults(store)
-    for candidate, opened, closed in token_contexts(tree):
-        if candidate is leaf:
-            return _programs(opened, closed, store, defaults)
-    raise ValueError("leaf does not belong to tree")
 
 
 class FormatterState:

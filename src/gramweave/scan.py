@@ -3,8 +3,10 @@
 Grammars, rule patterns, annotations and aspect files all use the same
 lexical ground rules: names, unsigned integers, single-quoted strings
 with \\n \\t \\\\ \\' escapes, '//' line comments, and free whitespace.
-Parsing is recursive descent straight over characters, so each notation
-can resolve its own punctuation (e.g. '..' vs '...' vs '.') in context.
+Patterns, annotations and aspects are parsed by recursive descent straight
+over characters, so each notation can resolve its own punctuation (e.g.
+'..' vs '...' vs '.') in context.  Grammars, whose punctuation is all
+single characters, are lexed in one pass by grammar._lex.
 """
 
 from __future__ import annotations

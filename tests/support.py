@@ -1,11 +1,12 @@
 """Shared test helpers: independent oracles and random-case generators.
 
-Everything here is deliberately written against the data model only, not
+The oracles are deliberately written against the data model only, not
 against the implementation under test: the recognizer oracle enumerates
-the grammar's language instead of parsing, the reference formatter walks
-the parse tree for its own chains and interprets whitespace programs with
-its own event loop, and the reference store writer lets json.dumps lay out
-a document built as dicts.
+the grammar's language instead of parsing, the reference grammar parser
+descends over characters where parse_grammar lexes with one regular
+expression, the reference formatter walks the parse tree for its own
+chains and interprets whitespace programs with its own event loop, and the
+reference store writer lets json.dumps lay out a document built as dicts.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from gramweave import grammar as G
+from gramweave import prettyprint
 from gramweave.annotations import (IntValue, NameValue, PunctValue,
                                    RecordValue, SeqValue, StrValue)
-from gramweave.earley import ParseLeaf, ParseNode, _compile
+from gramweave.earley import ParseLeaf, ParseNode, _compile, token_contexts
+from gramweave.scan import Cursor
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -320,6 +323,144 @@ def tree_difference(got, want):
 
 
 # ---------------------------------------------------------------------------
+# Reference grammar parser: recursive descent straight over characters with
+# the shared Cursor, then a recursive freeze that stores every node's
+# structure key.  parse_grammar must build the same nodes and raise the same
+# errors.  It recurses once per nesting level, so keep its inputs shallow.
+
+
+@dataclass(frozen=True, eq=False)
+class RefNode:
+    id: int
+    kind: str
+    detail: str | None
+    children: tuple
+    span: tuple
+    structure_key: tuple
+
+
+class _Raw:
+    __slots__ = ("kind", "detail", "children", "span")
+
+    def __init__(self, kind, detail, children, span):
+        self.kind = kind
+        self.detail = detail
+        self.children = children
+        self.span = span
+
+
+def reference_parse_grammar(text: str, source: str = "<grammar>") -> list:
+    """The tree's RefNodes in pre-order (index = id)."""
+    cur = Cursor(text, source)
+    rules, names = [], {}
+    while not cur.eof():
+        start = cur.pos
+        name = cur.expect_name("rule name")
+        if name in names:
+            cur.error(f"duplicate rule '{name}'", start)
+        names[name] = start
+        if name[0].isupper():
+            cur.error(f"terminal name '{name}' cannot be defined as a rule", start)
+        cur.expect(":", f"rule '{name}'")
+        prods = [_ref_production(cur)]
+        while cur.accept(":"):
+            prods.append(_ref_production(cur))
+        cur.expect(";", f"rule '{name}'")
+        rules.append(_Raw(G.SYMBOL_DEF, name, prods, (start, cur.pos)))
+    root = _Raw(G.GRAMMAR, None, rules, (0, len(text)))
+
+    def check(n):
+        if n.kind == G.SYMBOL_REF and not n.detail[0].isupper() and n.detail not in names:
+            cur.error(f"reference to undefined rule '{n.detail}'", n.span[0])
+        for c in n.children:
+            check(c)
+
+    check(root)
+    order, stack = {}, [root]
+    while stack:
+        n = stack.pop()
+        order[id(n)] = len(order)
+        stack.extend(reversed(n.children))
+    by_id = {}
+
+    def freeze(n):
+        children = tuple(freeze(c) for c in n.children)
+        key = (n.kind, n.detail, tuple(c.structure_key for c in children))
+        node = RefNode(order[id(n)], n.kind, n.detail, children, tuple(n.span), key)
+        by_id[node.id] = node
+        return node
+
+    freeze(root)
+    return [by_id[i] for i in range(len(by_id))]
+
+
+def _ref_production(cur):
+    body = _ref_alternative(cur)
+    children = body.children if body.kind == G.SEQUENCE else [body]
+    return _Raw(G.PRODUCTION, None, children, body.span)
+
+
+def _ref_alternative(cur):
+    members = [_ref_sequence(cur)]
+    while cur.accept("|"):
+        members.append(_ref_sequence(cur))
+    if len(members) == 1:
+        return members[0]
+    return _Raw(G.ALTERNATIVE, None, members, (members[0].span[0], members[-1].span[1]))
+
+
+def _ref_sequence(cur):
+    items = [_ref_item(cur)]
+    while True:
+        c = cur.peek_char()
+        if not (c and (c.isalpha() or c in "_'(" or
+                       (c == "#" and cur.text.startswith("#empty", cur.pos)))):
+            break
+        items.append(_ref_item(cur))
+    if len(items) == 1:
+        return items[0]
+    return _Raw(G.SEQUENCE, None, items, (items[0].span[0], items[-1].span[1]))
+
+
+def _ref_item(cur):
+    atom = _ref_atom(cur)
+    cur.skip_ws()
+    c = cur.text[cur.pos] if cur.pos < len(cur.text) else ""
+    if c in ("*", "+", "?"):
+        cur.pos += 1
+        kind = {"*": G.STAR, "+": G.PLUS, "?": G.OPT}[c]
+        return _Raw(G.ITERATION, kind, [atom], (atom.span[0], cur.pos))
+    return atom
+
+
+def _ref_atom(cur):
+    cur.skip_ws()
+    start = cur.pos
+    if cur.accept("("):
+        inner = _ref_alternative(cur)
+        cur.expect(")")
+        inner.span = (start, cur.pos)
+        return inner
+    if cur.accept_word("#empty"):
+        return _Raw(G.EMPTY, None, [], (start, cur.pos))
+    text = cur.accept_string()
+    if text is not None:
+        if text == "":
+            cur.error("empty literal", start)
+        return _Raw(G.LITERAL, text, [], (start, cur.pos))
+    name = cur.accept_name()
+    if name is not None:
+        return _Raw(G.SYMBOL_REF, name, [], (start, cur.pos))
+    cur.error("expected a symbol, literal, '#empty', or '('")
+
+
+def grammar_rows(nodes) -> list:
+    """(id, kind, detail, span, child ids, structure key) per node."""
+    return [(n.id, n.kind, n.detail, n.span, tuple(c.id for c in n.children),
+             n.structure_key) for n in nodes]
+
+
+# ---------------------------------------------------------------------------
 # Reference store writer: build the whole document as dicts and lists and let
 # json.dumps lay it out.  serialize_store must produce the same bytes.
 
@@ -347,7 +488,7 @@ def _ref_value(value):
 def reference_serialize_store(store) -> str:
     nodes = []
     for node_id in sorted(store._nodes):
-        meta = store._nodes[node_id]
+        meta = store.node_meta(node_id)
         nodes.append({"id": node_id, "kind": meta.kind, "detail": meta.detail,
                       "span": list(meta.span), "children": list(meta.children)})
     annotations = []
@@ -463,6 +604,16 @@ def step_counts(root) -> tuple:
         every += steps
         deriving += steps if derives[id(node)] else 0
     return every, deriving
+
+
+def effective_whitespace(leaf: ParseLeaf, tree, store):
+    """The (before, after) whitespace programs format_tree runs for one leaf
+    of the tree.  One token_contexts walk per call."""
+    defaults = prettyprint._Defaults(store)
+    for candidate, opened, closed in token_contexts(tree):
+        if candidate is leaf:
+            return prettyprint._programs(opened, closed, store, defaults)
+    raise ValueError("leaf does not belong to tree")
 
 
 def reference_format(tree, store) -> str:

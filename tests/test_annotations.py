@@ -58,6 +58,16 @@ class TestParse:
         (attr,) = ann.attributes
         assert attr.namespace == "ppr" and attr.name == "before"
 
+    @pytest.mark.parametrize("text, loc", [
+        ("{ color = red }", (1, 3)),
+        ("{html:color = red}", (1, 7)),
+        ("{ html: color = red }", (1, 9)),
+        ("{ html :\n  color = red }", (2, 3)),
+    ])
+    def test_attribute_location_is_its_name(self, text, loc):
+        (attr,) = parse_annotation(text).attributes
+        assert attr.loc == loc
+
     def test_flag_attribute(self):
         ann = parse_annotation("{ hidden }")
         assert ann.get("hidden") is FLAG
@@ -159,6 +169,14 @@ class TestSerialization:
         assert back == highlight_store
         assert serialize_store(back) == text
 
+    def test_node_meta_of_woven_and_read_back_stores(self, java5, highlight_store):
+        back = deserialize_store(serialize_store(highlight_store))
+        for node in iter_nodes(java5):
+            meta = NodeMeta(node.kind, node.detail, node.span,
+                            tuple(c.id for c in node.children))
+            assert highlight_store.node_meta(node.id) == meta
+            assert back.node_meta(node.id) == meta
+
     def test_round_trip_all_value_kinds(self):
         tree = parse_grammar("a : 'x' ;")
         store = AnnotationStore.for_tree(tree)
@@ -192,9 +210,23 @@ class TestSerialization:
         lambda doc: dict(doc, annotations=[["node", 0]]),
         lambda doc: dict(doc, annotations=[dict(doc["annotations"][0],
                                                 provenance=[0, None])]),
+        lambda doc: dict(doc, annotations=[dict(doc["annotations"][0],
+                                                value={"type": "int", "value": "x"})]),
+        lambda doc: dict(doc, annotations=[dict(doc["annotations"][0],
+                                                value={"type": "int", "value": True})]),
+        lambda doc: with_node(doc, span="ab"),
+        lambda doc: with_node(doc, span=[0]),
+        lambda doc: with_node(doc, span=[0, 1.5]),
+        lambda doc: with_node(doc, children="1"),
+        lambda doc: with_node(doc, children=[None]),
+        lambda doc: with_node(doc, kind=3),
+        lambda doc: with_node(doc, detail=["x"]),
     ], ids=["list", "no-grammar", "unknown-node", "int-without-value",
             "no-annotations", "nodes-not-a-list", "entry-not-an-object",
-            "provenance-not-an-object"])
+            "provenance-not-an-object", "int-value-a-string", "int-value-a-bool",
+            "span-a-string", "span-of-one", "span-of-a-float",
+            "children-a-string", "children-not-ints", "kind-an-int",
+            "detail-a-list"])
     def test_malformed_document(self, edit):
         tree = parse_grammar("a : 'x' ;")
         store = AnnotationStore.for_tree(tree)
@@ -203,6 +235,13 @@ class TestSerialization:
         assert deserialize_store(json.dumps(doc)) == store
         with pytest.raises(NotationError):
             deserialize_store(json.dumps(edit(doc)))
+
+
+def with_node(doc, **fields):
+    """doc with fields replaced in its last grammar node."""
+    nodes = doc["grammar"]["nodes"]
+    return dict(doc, grammar=dict(doc["grammar"],
+                                  nodes=nodes[:-1] + [dict(nodes[-1], **fields)]))
 
 
 ANY = Multiplicity(0, None)

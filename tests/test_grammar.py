@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gramweave import NotationError, parse_grammar, serialize_grammar
@@ -5,7 +7,8 @@ from gramweave.grammar import (ALTERNATIVE, EMPTY, GRAMMAR, ITERATION,
                                LITERAL, PRODUCTION, SEQUENCE, STAR,
                                SYMBOL_DEF, SYMBOL_REF, ALL_KINDS, descendants,
                                iter_nodes)
-from support import fixture
+from support import (fixture, grammar_rows, long_grammar_text,
+                     random_grammar_text, reference_parse_grammar)
 
 MISC = """
 list : item list : #empty ;
@@ -86,6 +89,16 @@ class TestStructure:
         assert counts[(PRODUCTION, None)] == 1
         assert len(nodes) == 8
 
+    def test_descendants_are_the_subtree_in_preorder(self, java5):
+        for node in iter_nodes(java5):
+            walk, stack = [], list(reversed(node.children))
+            while stack:
+                n = stack.pop()
+                walk.append(n)
+                stack.extend(reversed(n.children))
+            assert descendants(node) == walk
+            assert node.end == node.id + 1 + len(walk)
+
     def test_root_descendants_symbol_defs(self, arith):
         defs = [n.detail for n in descendants(arith.root) if n.kind == SYMBOL_DEF]
         assert set(defs) == {"expr", "term", "factor"}
@@ -130,3 +143,91 @@ class TestRoundTrip:
         b = parse_grammar(text, "x")
         for na, nb in zip(iter_nodes(a), iter_nodes(b)):
             assert (na.id, na.kind, na.detail, na.span) == (nb.id, nb.kind, nb.detail, nb.span)
+
+
+def parse_outcome(parse, text):
+    """The tree's rows, or the error's (message, source, line, column)."""
+    try:
+        return grammar_rows(parse(text, "t.g"))
+    except NotationError as exc:
+        return (exc.message, exc.source, exc.line, exc.col)
+
+
+def assert_like_reference(text):
+    got = parse_outcome(lambda t, s: iter_nodes(parse_grammar(t, s)), text)
+    assert got == parse_outcome(reference_parse_grammar, text)
+    return got
+
+
+MUTATION_CHARS = list("aZ_9 \t\n'\\\"#()|:;*+?/.é$") + ["#empty", "//", "''"]
+
+
+class TestReferenceOracle:
+    """parse_grammar builds the nodes, and raises the errors, of the
+    character-level reference parser in tests/support.py."""
+
+    @pytest.mark.parametrize("name", ["java5.g", "java14.g", "arith.g"])
+    def test_fixtures(self, name):
+        assert isinstance(assert_like_reference(fixture(name)), list)
+
+    def test_random_grammars(self):
+        rng = random.Random(6)
+        for _ in range(60):
+            assert isinstance(assert_like_reference(random_grammar_text(rng)), list)
+
+    def test_long_grammars(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            assert isinstance(assert_like_reference(long_grammar_text(rng, 200)), list)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a : 'x ;", "unterminated string"),
+        ("a : 'x\n' ;", "unterminated string"),
+        ("a : 'x\\", "unterminated string"),
+        ("a : '\\q' ;", "unknown escape '\\q'"),
+        ("a : 'x\\\n' ;", "unknown escape '\\\n'"),
+        ("a : #emptyx ;", "expected a symbol, literal, '#empty', or '('"),
+        ("a : b #emptyx ;", "expected a symbol, literal, '#empty', or '('"),
+        ("a : b #e ;", "expected ';' in rule 'a'"),
+        ("a : '' ;", "empty literal"),
+        ("a : X ;\na : Y ;", "duplicate rule 'a'"),
+        ("X : a ;", "terminal name 'X' cannot be defined as a rule"),
+        ("a : b ;", "reference to undefined rule 'b'"),
+        ("a : c ( b ) ;\nc : d ;", "reference to undefined rule 'b'"),
+        ("x : y", "expected ';' in rule 'x'"),
+        ("a : b ~ ;", "expected ';' in rule 'a'"),
+        ("a : (b ~) ;", "expected ')'"),
+        ("a : b é ;", "expected a symbol, literal, '#empty', or '('"),
+        ("a : 1 ;", "expected a symbol, literal, '#empty', or '('"),
+        ("a : ;", "expected a symbol, literal, '#empty', or '('"),
+        ("a : b | ;", "expected a symbol, literal, '#empty', or '('"),
+        ("a : b*+ ;", "expected ';' in rule 'a'"),
+        ("a b ;", "expected ':' in rule 'a'"),
+        ("'a' : b ;", "expected rule name"),
+        ("a : b ; ;", "expected rule name"),
+        ("a : b // the end", "expected ';' in rule 'a'"),
+        ("a : (b\n// no close", "expected ')'"),
+    ])
+    def test_errors(self, text, message):
+        assert assert_like_reference(text)[0] == message
+
+    def test_comment_at_end_of_file(self):
+        assert isinstance(assert_like_reference("a : B ; // last line"), list)
+
+    def test_mutations(self):
+        rng = random.Random(5)
+        base = fixture("java5.g")
+        errors = 0
+        for _ in range(300):
+            text = base
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(text) + 1)
+                roll = rng.random()
+                if roll < 0.4:
+                    text = text[:at] + rng.choice(MUTATION_CHARS) + text[at:]
+                elif roll < 0.7:
+                    text = text[:at] + text[at + 1:]
+                else:
+                    text = text[:at] + rng.choice(MUTATION_CHARS) + text[at + 1:]
+            errors += isinstance(assert_like_reference(text), tuple)
+        assert 100 < errors < 300  # both outcomes are exercised

@@ -2,11 +2,10 @@ import pytest
 
 from gramweave import (DEC_INDENT, FormatterState, INC_INDENT, IntValue,
                        NameValue, SeqValue, StrValue, Text, Token,
-                       WhitespaceError, decode_whitespace,
-                       effective_whitespace, format_tree, leaves,
-                       parse_aspect, parse_grammar, parse_input, tokenize,
-                       weave)
-from support import fixture, reference_format
+                       WhitespaceError, decode_whitespace, format_tree,
+                       leaves, parse_aspect, parse_grammar, parse_input,
+                       tokenize, weave)
+from support import effective_whitespace, fixture, reference_format
 
 FROZEN_CLASSBODY = "class A {\n    int x ;\n\n}\n"
 FROZEN_TYPEPARAMS = "<A, B>"

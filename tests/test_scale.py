@@ -10,8 +10,9 @@ from collections import Counter
 import pytest
 
 from gramweave import (assign_groups, format_tree, leaves, parse_aspect,
-                       parse_input, render_ansi, strip_ansi, token_contexts,
-                       tokenize, weave)
+                       parse_grammar, parse_input, render_ansi, strip_ansi,
+                       token_contexts, tokenize, weave)
+from gramweave.grammar import descendants
 from support import (chain_arith_text, java_class_text, nested_arith_text,
                      reference_format, step_counts)
 
@@ -75,3 +76,18 @@ class TestJava:
         spans, _ = run_backends(tree, text, highlight_store)
         assert [s.group for s in spans][:2] == ["keyword", "classDeclaration"]
         assert format_tree(tree, pretty_store) == reference_format(tree, pretty_store)
+
+
+class TestGrammar:
+    def test_deep_parentheses(self):
+        depth = 1000
+        tree = parse_grammar("s : " + "(" * depth + "ID" + ")" * depth + " ;")
+        ref = tree.rule_index["s"].children[0].children[0]
+        assert (ref.kind, ref.detail, ref.span) == ("symbol_ref", "ID", (4, 4 + 2 * depth + 2))
+        tree = parse_grammar("s : " + "(" * depth + "ID" + ")*" * depth + " ;")
+        key, levels = tree.root.structure_key, 0
+        while key[0] != "symbol_ref":  # the key nests one level per iteration
+            key = key[2][0]
+            levels += key[0] == "iteration"
+        assert levels == depth
+        assert len(descendants(tree.root)) == depth + 3
