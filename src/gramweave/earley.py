@@ -1,14 +1,16 @@
 """Chart parser that interprets a grammar tree over a token stream.
 
-The grammar tree is compiled into an internal form: every symbol
-definition, alternative, group, and iteration becomes a small set of
-productions that remember which grammar-tree node they came from.  An
-Earley recognizer runs over the tokens, then one parse tree is extracted
-deterministically: earlier productions and earlier alternative branches
-are preferred, and nonterminal spans are tried shortest-first.
+The grammar tree is compiled, in one pass over its pre-order table, into
+int state tables: every symbol definition, alternative, group, iteration
+and empty node is a nonterminal named by its grammar-tree id, with a
+small set of productions whose elements remember which grammar-tree node
+they came from.  An Earley recognizer runs over the tokens, then one
+parse tree is extracted deterministically: earlier productions and
+earlier alternative branches are preferred, and nonterminal spans are
+tried shortest-first.
 
-Neither half recurses, so input size is bounded by memory only.  The
-recognizer indexes the items of each Earley set by the nonterminal they
+No step recurses, so grammar nesting and input size are bounded by
+memory only.  The recognizer indexes the items of each Earley set by the nonterminal they
 wait on, so a completion advances just those items.  Extraction reads
 split points from the chart instead of searching for them (Scott,
 *SPPF-style parsing from Earley recognisers*, 2008): each element takes
@@ -114,174 +116,136 @@ def token_contexts(tree: ParseTree) -> List[Tuple[ParseLeaf, list, list]]:
 
 
 # ---------------------------------------------------------------------------
-# Compilation of the grammar tree into plain productions
-
-# symbols: ("lit", text) | ("term", name) | ("nt", key)
-# nonterminal keys: ("def"|"alt"|"seq"|"iter"|"emp", GT node id)
-
-
-@dataclass(frozen=True)
-class _Elem:
-    sym: tuple
-    gt_id: int
-
-
-@dataclass(frozen=True)
-class _Prod:
-    pid: int
-    lhs: tuple
-    rhs: Tuple[_Elem, ...]
-    tag: tuple
+# Compilation of the grammar tree into state tables
 
 
 class _Compiled:
-    def __init__(self):
-        self.prods: List[_Prod] = []
-        self.by_lhs: Dict[tuple, List[_Prod]] = {}
-        self.nullable: set = set()
-        self.cyclic = False  # a search may try a nonterminal below itself over one span
+    """The grammar's productions as state tables, in one pass over its nodes.
 
-    def add(self, lhs, rhs, tag) -> _Prod:
-        prod = _Prod(len(self.prods), lhs, tuple(rhs), tag)
-        self.prods.append(prod)
-        self.by_lhs.setdefault(lhs, []).append(prod)
-        return prod
+    A nonterminal is the grammar-tree id of a symbol definition, or of an
+    alternative, sequence, iteration or empty node; a terminal symbol gets
+    a negative code.  A symbol definition has one production per grammar
+    production, an alternative one per branch, a sequence one, an empty
+    node one with no elements, and an iteration two: star gives empty and
+    step, plus one and step, opt empty and one, where step is the
+    iteration itself followed by its child.
 
-    def number(self) -> None:
-        """Number nonterminals, terminal symbols and dotted productions.
+    A state is a production with a dot before one of its elements or at
+    its end.  The states of a production are consecutive, so advancing
+    the dot adds one; `starts[nt]` holds the first state of each
+    production of nonterminal `nt`, in order.  Per state: `after` is the
+    nonterminal after the dot, the code of the terminal symbol after it,
+    or None when the dot is at the end; `gt` is the grammar-tree id of the
+    element after the dot and `ref` tells whether that element is a symbol
+    reference, which before a nonterminal means a rule reference; `skip`
+    tells whether it is a nullable nonterminal.  `lhs`,
+    `bit`, `tag` and `size` hold, for every state of a production, its
+    nonterminal, its bit among that nonterminal's productions, the
+    (kind, gt_id, production_index, production_id) of the parse node it
+    builds, and its number of elements.
+    """
 
-        A state is a production with a dot before one of its elements or
-        at its end.  The states of a production are consecutive, so
-        advancing the dot adds one; `starts[nt]` holds the first state of
-        each production of nonterminal `nt`, in order.  `after[state]` is
-        the nonterminal after the dot, the (negative) code of the terminal
-        symbol after it, or None when the dot is at the end.
-        """
-        self.rules = list(self.by_lhs.values())  # productions per nonterminal
-        self.nts: Dict[tuple, int] = {key: i for i, key in enumerate(self.by_lhs)}
+    def __init__(self, tree: g.GrammarTree):
         self.codes: Dict[tuple, int] = {}
+        self.starts: List[Optional[List[int]]] = [None] * len(tree.by_id)
         self.after: list = []
-        self.lhs: List[int] = []  # per state: its production's nonterminal
-        self.bit: List[int] = []  # per state: its production's bit within those
-        self.skip: List[bool] = []  # per state: the nonterminal after the dot is nullable
-        self.starts: List[List[int]] = []
-        for nt, prods in enumerate(self.rules):
-            self.starts.append([])
-            for index, prod in enumerate(prods):
+        self.gt: List[Optional[int]] = []
+        self.ref: List[bool] = []
+        self.lhs: List[int] = []
+        self.bit: List[int] = []
+        self.tag: List[tuple] = []
+        self.size: List[int] = []
+        firsts: List[int] = []  # the first state of every production
+        for node in g.iter_nodes(tree):
+            nt, kind = node.id, node.kind
+            if kind == g.SYMBOL_DEF:
+                prods = [(p.children, ("rule", nt, i, p.id))
+                         for i, p in enumerate(node.children)]
+            elif kind == g.ALTERNATIVE:
+                prods = [((c,), ("alt", nt, None, None)) for c in node.children]
+            elif kind == g.SEQUENCE:
+                prods = [(node.children, ("seq", nt, None, None))]
+            elif kind == g.ITERATION:
+                empty = ((), ("iter", nt, None, None))
+                one = (node.children, ("iter", nt, None, None))
+                step = ((node,) + node.children, ("step", nt, None, None))
+                prods = {g.STAR: [empty, step], g.PLUS: [one, step],
+                         g.OPT: [empty, one]}[node.detail]
+            elif kind == g.EMPTY:
+                prods = [((), ("empty", nt, None, None))]
+            else:
+                continue
+            self.starts[nt] = []
+            for index, (elems, tag) in enumerate(prods):
                 self.starts[nt].append(len(self.after))
-                for elem in prod.rhs:
-                    if elem.sym[0] == "nt":
-                        self.after.append(self.nts[elem.sym[1]])
-                        self.skip.append(elem.sym[1] in self.nullable)
-                    else:
-                        self.after.append(self.codes.setdefault(elem.sym, -1 - len(self.codes)))
-                        self.skip.append(False)
+                firsts.append(len(self.after))
+                for elem in elems:
+                    self.after.append(self._symbol(tree, elem))
+                    self.gt.append(elem.id)
+                    self.ref.append(elem.kind == g.SYMBOL_REF)
                 self.after.append(None)
-                self.skip.append(False)
-                self.lhs += [nt] * (len(prod.rhs) + 1)
-                self.bit += [1 << index] * (len(prod.rhs) + 1)
+                self.gt.append(None)
+                self.ref.append(False)
+                m = len(elems)
+                self.lhs += [nt] * (m + 1)
+                self.bit += [1 << index] * (m + 1)
+                self.tag += [tag] * (m + 1)
+                self.size += [m] * (m + 1)
         self.display = {code: _sym_display(sym) for sym, code in self.codes.items()}
 
+        # nullable nonterminals, to fixpoint; a production's elements mostly
+        # have higher ids than its nonterminal, so walk the productions last
+        # to first.  Terminal codes are negative and never nullable.
+        after, lhs, size = self.after, self.lhs, self.size
+        nullable = self.nullable = set()
+        changed = True
+        while changed:
+            changed = False
+            for s in reversed(firsts):
+                if lhs[s] not in nullable and all(a in nullable for a in after[s:s + size[s]]):
+                    nullable.add(lhs[s])
+                    changed = True
+        self.skip = [a in nullable for a in after]
 
-def _compile(tree: g.GrammarTree) -> _Compiled:
-    cg = _Compiled()
-    done = set()
+        # unit links: a production of K tries one of its nonterminals over K's
+        # whole span when the elements before it are nullable, whatever follows
+        # (a search derives each candidate before it looks at the rest); the
+        # extractor's cycle guard can fire only if these links form a cycle.
+        # A link from K to itself with a non-nullable rest (K : K ')' ...) only
+        # guards a candidate that could never complete, so it is left out.
+        links: Dict[int, set] = {lhs[s]: set() for s in firsts}
+        for s in firsts:
+            elems = after[s:s + size[s]]
+            for j, a in enumerate(elems):
+                if a >= 0 and (a != lhs[s] or all(b in nullable for b in elems[j + 1:])):
+                    links[lhs[s]].add(a)
+                if a not in nullable:
+                    break
+        # peel off nonterminals without incoming links; what remains lies on
+        # a cycle
+        incoming = {nt: 0 for nt in links}
+        for targets in links.values():
+            for nt in targets:
+                incoming[nt] += 1
+        free = [nt for nt, count in incoming.items() if count == 0]
+        while free:
+            for nt in links.pop(free.pop()):
+                incoming[nt] -= 1
+                if incoming[nt] == 0:
+                    free.append(nt)
+        self.cyclic = bool(links)  # a search may try a nonterminal below itself over one span
 
-    def item(node: g.GtNode) -> _Elem:
-        if node.kind == g.LITERAL:
-            return _Elem(("lit", node.detail), node.id)
-        if node.kind == g.SYMBOL_REF:
-            if node.is_terminal_ref():
-                return _Elem(("term", node.detail), node.id)
-            target = tree.rule_index[node.detail]
-            return _Elem(("nt", ("def", target.id)), node.id)
-        key = build(node)
-        return _Elem(("nt", key), node.id)
-
-    def build(node: g.GtNode) -> tuple:
-        if node.kind == g.ALTERNATIVE:
-            key = ("alt", node.id)
-            if key not in done:
-                done.add(key)
-                for bi, branch in enumerate(node.children):
-                    cg.add(key, [item(branch)], ("branch", node.id, bi))
-        elif node.kind == g.SEQUENCE:
-            key = ("seq", node.id)
-            if key not in done:
-                done.add(key)
-                cg.add(key, [item(c) for c in node.children], ("group", node.id))
-        elif node.kind == g.ITERATION:
-            key = ("iter", node.id)
-            if key not in done:
-                done.add(key)
-                sub = item(node.children[0])
-                if node.detail == g.STAR:
-                    cg.add(key, [], ("iter_empty", node.id))
-                    cg.add(key, [_Elem(("nt", key), node.id), sub], ("iter_step", node.id))
-                elif node.detail == g.PLUS:
-                    cg.add(key, [sub], ("iter_one", node.id))
-                    cg.add(key, [_Elem(("nt", key), node.id), sub], ("iter_step", node.id))
-                else:  # OPT
-                    cg.add(key, [], ("iter_empty", node.id))
-                    cg.add(key, [sub], ("iter_one", node.id))
-        elif node.kind == g.EMPTY:
-            key = ("emp", node.id)
-            if key not in done:
-                done.add(key)
-                cg.add(key, [], ("empty", node.id))
+    def _symbol(self, tree: g.GrammarTree, elem: g.GtNode) -> int:
+        """The nonterminal or terminal code an element stands for."""
+        if elem.kind == g.LITERAL:
+            sym = ("lit", elem.detail)
+        elif elem.kind == g.SYMBOL_REF and elem.is_terminal_ref():
+            sym = ("term", elem.detail)
+        elif elem.kind == g.SYMBOL_REF:
+            return tree.rule_index[elem.detail].id
         else:
-            raise AssertionError(f"unexpected item kind {node.kind}")
-        return key
-
-    for symdef in tree.root.children:
-        key = ("def", symdef.id)
-        done.add(key)
-        for pi, prod in enumerate(symdef.children):
-            cg.add(key, [item(c) for c in prod.children],
-                   ("rule", symdef.id, pi, prod.id))
-
-    # nullable nonterminals, to fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for prod in cg.prods:
-            if prod.lhs in cg.nullable:
-                continue
-            if all(e.sym[0] == "nt" and e.sym[1] in cg.nullable for e in prod.rhs):
-                cg.nullable.add(prod.lhs)
-                changed = True
-
-    # unit links: a production of K tries one of its nonterminals over K's
-    # whole span when the elements before it are nullable, whatever follows
-    # (a search derives each candidate before it looks at the rest); the
-    # extractor's cycle guard can fire only if these links form a cycle.
-    # A link from K to itself with a non-nullable rest (K : K ')' ...) only
-    # guards a candidate that could never complete, so it is left out.
-    def nullable(syms) -> bool:
-        return all(o[0] == "nt" and o[1] in cg.nullable for o in syms)
-
-    links: Dict[tuple, set] = {key: set() for key in cg.by_lhs}
-    for prod in cg.prods:
-        syms = [e.sym for e in prod.rhs]
-        for j, sym in enumerate(syms):
-            if sym[0] != "nt" or not nullable(syms[:j]):
-                continue
-            if sym[1] != prod.lhs or nullable(syms[j + 1:]):
-                links[prod.lhs].add(sym[1])
-    # peel off keys without incoming links; what remains lies on a cycle
-    incoming = {key: 0 for key in links}
-    for targets in links.values():
-        for key in targets:
-            incoming[key] += 1
-    free = [key for key, count in incoming.items() if count == 0]
-    while free:
-        for key in links.pop(free.pop()):
-            incoming[key] -= 1
-            if incoming[key] == 0:
-                free.append(key)
-    cg.cyclic = bool(links)
-    cg.number()
-    return cg
+            return elem.id
+        return self.codes.setdefault(sym, -1 - len(self.codes))
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +345,6 @@ def _recognize(cg: _Compiled, start: int, tokens: List[Token], codes: List[int])
 # ---------------------------------------------------------------------------
 # Deterministic extraction
 
-_NODE_KIND = {"rule": "rule", "branch": "alt", "group": "seq", "empty": "empty",
-              "iter_empty": "iter", "iter_one": "iter"}
-
-
-def _make_node(tag: tuple, parts: list) -> ParseNode:
-    """The node for a production other than an iteration step."""
-    if tag[0] == "rule":
-        return ParseNode("rule", tag[1], parts, tag[2], tag[3])
-    return ParseNode(_NODE_KIND[tag[0]], tag[1], parts)
-
-
 def _copy(node: ParseNode) -> ParseNode:
     """A fresh copy of a parse subtree; leaves are immutable and stay shared."""
     top = ParseNode(node.kind, node.gt_id, list(node.children),
@@ -443,32 +396,32 @@ class _Extractor:
         chart by `viable`.
         """
         cg, tokens, ends, width = self.cg, self.tokens, self.ends, self.width
-        after, rules, starts, bit = cg.after, cg.rules, cg.starts, cg.bit
+        after, starts, bit, gt, ref, size = cg.after, cg.starts, cg.bit, cg.gt, cg.ref, cg.size
         viable = self.viable
 
         def open_frame(nt: int, lo: int, hi: int) -> list:
             mask = ends[nt * width + lo][hi]
-            for prod, state in zip(rules[nt], starts[nt]):
+            for state in starts[nt]:
                 if mask & bit[state]:
-                    m = len(prod.rhs)
+                    m = size[state]
                     reach = viable(state, m, lo, hi) if m > 1 else None
-                    return [prod, state, reach, [], lo, hi]
+                    return [state, reach, [], lo, hi]
 
-        # frame: production, its first state, viable positions, the parts
+        # frame: the production's first state, viable positions, the parts
         # found so far, the position after them and the end of the span
         stack = [open_frame(start, 0, width - 1)]
         while True:
             frame = stack[-1]
-            prod, state, reach, parts, pos, hi = frame
-            rhs = prod.rhs
+            state, reach, parts, pos, hi = frame
+            m = size[state]
             k = len(parts)
-            while k < len(rhs) and after[state + k] < 0:
-                parts.append(ParseLeaf(rhs[k].gt_id, tokens[pos]))
+            while k < m and after[state + k] < 0:
+                parts.append(ParseLeaf(gt[state + k], tokens[pos]))
                 pos += 1
                 k += 1
-            if k < len(rhs):
+            if k < m:
                 a = after[state + k]
-                if k + 1 == len(rhs):
+                if k + 1 == m:
                     end = hi
                 else:
                     row, targets = ends[a * width + pos], reach[k + 1]
@@ -476,21 +429,21 @@ class _Extractor:
                         end = next(e for e in row if e in targets)
                     else:
                         end = min(e for e in targets if e in row)
-                frame[4] = end
+                frame[3] = end
                 stack.append(open_frame(a, pos, end))
                 continue
-            if prod.tag[0] == "iter_step":  # nothing else holds the spine
+            kind, gt_id, index, prod_id = cg.tag[state]
+            if kind == "step":  # nothing else holds the spine
                 node = parts[0]
                 node.children.append(parts[1])
             else:
-                node = _make_node(prod.tag, parts)
+                node = ParseNode(kind, gt_id, parts, index, prod_id)
             stack.pop()
             if not stack:
                 return node
             parent = stack[-1]
-            elem = parent[0].rhs[len(parent[3])]
-            parent[3].append(ParseNode("ref", elem.gt_id, [node])
-                             if elem.sym[1][0] == "def" else node)
+            at = parent[0] + len(parent[2])
+            parent[2].append(ParseNode("ref", gt[at], [node]) if ref[at] else node)
 
     def viable(self, state: int, m: int, lo: int, hi: int) -> list:
         """Per element k > 0 of the production, the positions from which
@@ -550,18 +503,17 @@ class _Extractor:
 
     def derive(self, nt: int, lo: int, hi: int, guarded: bool = True):
         cg, tokens, memo, active = self.cg, self.tokens, self.memo, self.active
-        after = cg.after
+        after, gt = cg.after, cg.gt
         key = (nt, lo, hi)
         if guarded:
             active.add(key)
             before = self.guard_hits
         mask = self.ends[nt * self.width + lo][hi]
         node = None
-        for prod, state in zip(cg.rules[nt], cg.starts[nt]):
+        for state in cg.starts[nt]:
             if not mask & cg.bit[state]:
                 continue
-            rhs = prod.rhs
-            m = len(rhs)
+            m = cg.size[state]
             parts: list = []
             if m:
                 # per element tried: its remaining ends and its start
@@ -579,9 +531,8 @@ class _Extractor:
                     k = len(parts)
                     pos = at[-1]
                     a = after[state + k]
-                    elem = rhs[k]
                     if a < 0:
-                        part = ParseLeaf(elem.gt_id, tokens[pos])
+                        part = ParseLeaf(gt[state + k], tokens[pos])
                     else:
                         span = (a, pos, end)
                         if span in memo:
@@ -595,8 +546,8 @@ class _Extractor:
                             sub = yield span
                         if sub is None:
                             continue
-                        part = ParseNode("ref", elem.gt_id, [sub]) \
-                            if elem.sym[1][0] == "def" else sub
+                        part = ParseNode("ref", gt[state + k], [sub]) \
+                            if cg.ref[state + k] else sub
                     if k + 1 == m:
                         if end == hi:
                             parts.append(part)
@@ -607,11 +558,12 @@ class _Extractor:
                     at.append(end)
                 else:
                     continue
-            if prod.tag[0] == "iter_step":  # leave the memoised spine as it is
+            kind, gt_id, index, prod_id = cg.tag[state]
+            if kind == "step":  # leave the memoised spine as it is
                 spine, step = parts
-                node = ParseNode("iter", prod.tag[1], spine.children + [step])
+                node = ParseNode("iter", gt_id, spine.children + [step])
             else:
-                node = _make_node(prod.tag, parts)
+                node = ParseNode(kind, gt_id, parts, index, prod_id)
             break
         if guarded:
             active.discard(key)
@@ -627,8 +579,8 @@ def parse_input(tree: g.GrammarTree, start: str, tokens: List[Token]) -> ParseTr
     if start not in tree.rule_index:
         raise NotationError(f"start symbol '{start}' is not a defined rule",
                             tree.origin)
-    cg = _compile(tree)
-    start_nt = cg.nts[("def", tree.rule_index[start].id)]
+    cg = _Compiled(tree)
+    start_nt = tree.rule_index[start].id
     codes = _token_codes(cg, tokens)
     ends, origins = _recognize(cg, start_nt, tokens, codes)
     extractor = _Extractor(cg, tokens, codes, ends, origins)

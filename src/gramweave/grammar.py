@@ -78,13 +78,12 @@ class GtNode:
 
     @property
     def structure_key(self) -> tuple:
-        """A recursive (kind, detail, children) tuple: two nodes are
-        structurally equal iff their keys are equal, regardless of ids and
-        spans.  Built on each call, children before parents."""
-        keys = {}
-        for n in reversed(self._preorder[self.id:self.end]):
-            keys[n.id] = (n.kind, n.detail, tuple([keys.pop(c.id) for c in n.children]))
-        return keys[self.id]
+        """The subtree's (kind, detail, number of children) per node, in
+        pre-order: two nodes are structurally equal iff their keys are
+        equal, regardless of ids and spans.  The key is flat, so comparing
+        two keys does not recurse however deep the subtree nests."""
+        return tuple([(n.kind, n.detail, len(n.children))
+                      for n in self._preorder[self.id:self.end]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,29 +310,47 @@ def serialize_grammar(tree: GrammarTree) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+# kinds that need parentheses as a child of each kind; a production's items
+# need them only when there are several
+_CHILD_WRAP = {ITERATION: (ALTERNATIVE, SEQUENCE, ITERATION),
+               SEQUENCE: (ALTERNATIVE, SEQUENCE), ALTERNATIVE: (ALTERNATIVE,)}
+_SUFFIX_TEXT = {kind: text for text, kind in _SUFFIX_KIND.items()}
+
+
 def _serialize_production(prod: GtNode) -> str:
-    return " ".join(_serialize_node(c, wrap=(ALTERNATIVE, SEQUENCE) if len(prod.children) > 1 else ())
-                    for c in prod.children)
-
-
-def _serialize_node(n: GtNode, wrap: tuple = ()) -> str:
-    """Render one node; wrap lists the kinds that need parentheses here."""
-    if n.kind == SYMBOL_REF:
-        body = n.detail
-    elif n.kind == LITERAL:
-        body = escape_string(n.detail)
-    elif n.kind == EMPTY:
-        body = "#empty"
-    elif n.kind == ITERATION:
-        suffix = {STAR: "*", PLUS: "+", OPT: "?"}[n.detail]
-        inner = (ALTERNATIVE, SEQUENCE, ITERATION)
-        body = _serialize_node(n.children[0], wrap=inner) + suffix
-    elif n.kind == SEQUENCE:
-        body = " ".join(_serialize_node(c, wrap=(ALTERNATIVE, SEQUENCE)) for c in n.children)
-    elif n.kind == ALTERNATIVE:
-        body = " | ".join(_serialize_node(c, wrap=(ALTERNATIVE,)) for c in n.children)
-    else:
-        raise NotationError(f"cannot serialize node kind '{n.kind}'")
-    if n.kind in wrap:
-        body = "(" + body + ")"
-    return body
+    """Render one production's items.  An explicit stack holds what is
+    still to be written, last first: text, or a node with the kinds that
+    need parentheses where it stands."""
+    out = []
+    stack = [(prod, ())]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        n, wrap = item
+        if n.kind == SYMBOL_REF:
+            out.append(n.detail)
+        elif n.kind == LITERAL:
+            out.append(escape_string(n.detail))
+        elif n.kind == EMPTY:
+            out.append("#empty")
+        elif n.kind in _CHILD_WRAP or n.kind == PRODUCTION:
+            pending = [")"] if n.kind in wrap else []
+            if n.kind == ITERATION:
+                pending.append(_SUFFIX_TEXT[n.detail])
+            if n.kind == PRODUCTION:
+                inner = (ALTERNATIVE, SEQUENCE) if len(n.children) > 1 else ()
+            else:
+                inner = _CHILD_WRAP[n.kind]
+            sep = " | " if n.kind == ALTERNATIVE else " "
+            for i in range(len(n.children) - 1, -1, -1):
+                pending.append((n.children[i], inner))
+                if i:
+                    pending.append(sep)
+            if n.kind in wrap:
+                out.append("(")
+            stack.extend(pending)
+        else:
+            raise NotationError(f"cannot serialize node kind '{n.kind}'")
+    return "".join(out)

@@ -2,9 +2,11 @@
 
 The oracles are deliberately written against the data model only, not
 against the implementation under test: the recognizer oracle enumerates
-the grammar's language instead of parsing, the reference grammar parser
+the grammar's language instead of parsing, the tree oracle compiles the
+grammar with its own recursive compiler, the reference grammar parser
 descends over characters where parse_grammar lexes with one regular
-expression, the reference formatter walks the parse tree for its own
+expression, the reference serializer recurses where serialize_grammar
+keeps a stack, the reference formatter walks the parse tree for its own
 chains and interprets whitespace programs with its own event loop, and the
 reference store writer lets json.dumps lay out a document built as dicts.
 """
@@ -20,8 +22,8 @@ from gramweave import grammar as G
 from gramweave import prettyprint
 from gramweave.annotations import (IntValue, NameValue, PunctValue,
                                    RecordValue, SeqValue, StrValue)
-from gramweave.earley import ParseLeaf, ParseNode, _compile, token_contexts
-from gramweave.scan import Cursor
+from gramweave.earley import ParseLeaf, ParseNode, token_contexts
+from gramweave.scan import Cursor, escape_string
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -131,11 +133,145 @@ def oracle_accepts(tree: G.GrammarTree, start: str, tokens) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Tree oracle: the earlier recursive recognizer and extractor, kept here to
-# check that the chart-guided extractor picks the same tree.  It shares
-# only the compiled grammar (`earley._compile`) with the parser.  It tries
-# every end of every nonterminal shortest-first, backtracks, and recurses
-# once per token, so feed it only small inputs.
+# Tree oracle: the earlier recursive compiler, recognizer and extractor,
+# kept here to check that the parser picks the same tree.  It shares only
+# the parse-tree node classes with the parser: its compiler rebuilds the
+# grammar tree into productions keyed by (kind, grammar-tree id) tuples,
+# recursing once per nesting level, where the parser writes int state
+# tables in one pass.  It tries every end of every nonterminal
+# shortest-first, backtracks, and recurses once per token, so feed it only
+# small inputs.
+#
+# symbols: ("lit", text) | ("term", name) | ("nt", key)
+# nonterminal keys: ("def"|"alt"|"seq"|"iter"|"emp", GT node id)
+
+
+@dataclass(frozen=True)
+class _Elem:
+    sym: tuple
+    gt_id: int
+
+
+@dataclass(frozen=True)
+class _Prod:
+    pid: int
+    lhs: tuple
+    rhs: tuple[_Elem, ...]
+    tag: tuple
+
+
+class OracleGrammar:
+    def __init__(self):
+        self.prods: list[_Prod] = []
+        self.by_lhs: dict[tuple, list[_Prod]] = {}
+        self.nullable: set = set()
+        self.cyclic = False  # a search may try a nonterminal below itself over one span
+
+    def add(self, lhs, rhs, tag) -> _Prod:
+        prod = _Prod(len(self.prods), lhs, tuple(rhs), tag)
+        self.prods.append(prod)
+        self.by_lhs.setdefault(lhs, []).append(prod)
+        return prod
+
+
+def oracle_compile(tree: G.GrammarTree) -> OracleGrammar:
+    cg = OracleGrammar()
+    done = set()
+
+    def item(node: G.GtNode) -> _Elem:
+        if node.kind == G.LITERAL:
+            return _Elem(("lit", node.detail), node.id)
+        if node.kind == G.SYMBOL_REF:
+            if node.is_terminal_ref():
+                return _Elem(("term", node.detail), node.id)
+            target = tree.rule_index[node.detail]
+            return _Elem(("nt", ("def", target.id)), node.id)
+        key = build(node)
+        return _Elem(("nt", key), node.id)
+
+    def build(node: G.GtNode) -> tuple:
+        if node.kind == G.ALTERNATIVE:
+            key = ("alt", node.id)
+            if key not in done:
+                done.add(key)
+                for bi, branch in enumerate(node.children):
+                    cg.add(key, [item(branch)], ("branch", node.id, bi))
+        elif node.kind == G.SEQUENCE:
+            key = ("seq", node.id)
+            if key not in done:
+                done.add(key)
+                cg.add(key, [item(c) for c in node.children], ("group", node.id))
+        elif node.kind == G.ITERATION:
+            key = ("iter", node.id)
+            if key not in done:
+                done.add(key)
+                sub = item(node.children[0])
+                if node.detail == G.STAR:
+                    cg.add(key, [], ("iter_empty", node.id))
+                    cg.add(key, [_Elem(("nt", key), node.id), sub], ("iter_step", node.id))
+                elif node.detail == G.PLUS:
+                    cg.add(key, [sub], ("iter_one", node.id))
+                    cg.add(key, [_Elem(("nt", key), node.id), sub], ("iter_step", node.id))
+                else:  # OPT
+                    cg.add(key, [], ("iter_empty", node.id))
+                    cg.add(key, [sub], ("iter_one", node.id))
+        elif node.kind == G.EMPTY:
+            key = ("emp", node.id)
+            if key not in done:
+                done.add(key)
+                cg.add(key, [], ("empty", node.id))
+        else:
+            raise AssertionError(f"unexpected item kind {node.kind}")
+        return key
+
+    for symdef in tree.root.children:
+        key = ("def", symdef.id)
+        done.add(key)
+        for pi, prod in enumerate(symdef.children):
+            cg.add(key, [item(c) for c in prod.children],
+                   ("rule", symdef.id, pi, prod.id))
+
+    # nullable nonterminals, to fixpoint
+    changed = True
+    while changed:
+        changed = False
+        for prod in cg.prods:
+            if prod.lhs in cg.nullable:
+                continue
+            if all(e.sym[0] == "nt" and e.sym[1] in cg.nullable for e in prod.rhs):
+                cg.nullable.add(prod.lhs)
+                changed = True
+
+    # unit links: a production of K tries one of its nonterminals over K's
+    # whole span when the elements before it are nullable, whatever follows
+    # (a search derives each candidate before it looks at the rest); the
+    # extractor's cycle guard can fire only if these links form a cycle.
+    # A link from K to itself with a non-nullable rest (K : K ')' ...) only
+    # guards a candidate that could never complete, so it is left out.
+    def nullable(syms) -> bool:
+        return all(o[0] == "nt" and o[1] in cg.nullable for o in syms)
+
+    links: dict[tuple, set] = {key: set() for key in cg.by_lhs}
+    for prod in cg.prods:
+        syms = [e.sym for e in prod.rhs]
+        for j, sym in enumerate(syms):
+            if sym[0] != "nt" or not nullable(syms[:j]):
+                continue
+            if sym[1] != prod.lhs or nullable(syms[j + 1:]):
+                links[prod.lhs].add(sym[1])
+    # peel off keys without incoming links; what remains lies on a cycle
+    incoming = {key: 0 for key in links}
+    for targets in links.values():
+        for key in targets:
+            incoming[key] += 1
+    free = [key for key, count in incoming.items() if count == 0]
+    while free:
+        for key in links.pop(free.pop()):
+            incoming[key] -= 1
+            if incoming[key] == 0:
+                free.append(key)
+    cg.cyclic = bool(links)
+    return cg
 
 
 def _oracle_matches(sym: tuple, token) -> bool:
@@ -280,7 +416,7 @@ def _oracle_tree(dt: _DTree, tokens):
 
 def oracle_parse(tree: G.GrammarTree, start: str, tokens):
     """The earlier parser's tree root for tokens, or None if rejected."""
-    cg = _compile(tree)
+    cg = oracle_compile(tree)
     start_key = ("def", tree.rule_index[start].id)
     completed = _oracle_recognize(cg, start_key, tokens)
     n = len(tokens)
@@ -385,7 +521,8 @@ def reference_parse_grammar(text: str, source: str = "<grammar>") -> list:
 
     def freeze(n):
         children = tuple(freeze(c) for c in n.children)
-        key = (n.kind, n.detail, tuple(c.structure_key for c in children))
+        key = ((n.kind, n.detail, len(children)),) + \
+            tuple(entry for c in children for entry in c.structure_key)
         node = RefNode(order[id(n)], n.kind, n.detail, children, tuple(n.span), key)
         by_id[node.id] = node
         return node
@@ -458,6 +595,51 @@ def grammar_rows(nodes) -> list:
     """(id, kind, detail, span, child ids, structure key) per node."""
     return [(n.id, n.kind, n.detail, n.span, tuple(c.id for c in n.children),
              n.structure_key) for n in nodes]
+
+
+# ---------------------------------------------------------------------------
+# Reference grammar serializer: one recursive call per node.
+# serialize_grammar must write the same text; keep inputs shallow.
+
+
+def reference_serialize_grammar(tree: G.GrammarTree) -> str:
+    lines = []
+    for sd in tree.root.children:
+        bodies = [_ref_serialize_production(p) for p in sd.children]
+        if len(bodies) == 1:
+            lines.append(f"{sd.detail} : {bodies[0]} ;")
+        else:
+            lines.append(sd.detail + "".join(f"\n    : {b}" for b in bodies) + " ;")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _ref_serialize_production(prod: G.GtNode) -> str:
+    wrap = (G.ALTERNATIVE, G.SEQUENCE) if len(prod.children) > 1 else ()
+    return " ".join(_ref_serialize_node(c, wrap) for c in prod.children)
+
+
+def _ref_serialize_node(n: G.GtNode, wrap: tuple = ()) -> str:
+    """Render one node; wrap lists the kinds that need parentheses here."""
+    if n.kind == G.SYMBOL_REF:
+        body = n.detail
+    elif n.kind == G.LITERAL:
+        body = escape_string(n.detail)
+    elif n.kind == G.EMPTY:
+        body = "#empty"
+    elif n.kind == G.ITERATION:
+        suffix = {G.STAR: "*", G.PLUS: "+", G.OPT: "?"}[n.detail]
+        inner = (G.ALTERNATIVE, G.SEQUENCE, G.ITERATION)
+        body = _ref_serialize_node(n.children[0], wrap=inner) + suffix
+    elif n.kind == G.SEQUENCE:
+        body = " ".join(_ref_serialize_node(c, wrap=(G.ALTERNATIVE, G.SEQUENCE))
+                        for c in n.children)
+    elif n.kind == G.ALTERNATIVE:
+        body = " | ".join(_ref_serialize_node(c, wrap=(G.ALTERNATIVE,)) for c in n.children)
+    else:
+        raise AssertionError(f"cannot serialize node kind '{n.kind}'")
+    if n.kind in wrap:
+        body = "(" + body + ")"
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +893,15 @@ def java_class_text(members: int) -> str:
 
 def nested_arith_text(depth: int) -> str:
     return "(" * depth + "1" + ")" * depth
+
+
+def deep_grammar_text(depth: int, atom: str = "ID") -> str:
+    """s : ((...(ID)*...)*) ; with depth nested iterations."""
+    return f"s : {nested_iteration_text(depth, atom)} ;"
+
+
+def nested_iteration_text(depth: int, atom: str = "ID") -> str:
+    return "(" * depth + atom + ")*" * depth
 
 
 def chain_arith_text(terms: int) -> str:

@@ -5,8 +5,8 @@ import pytest
 
 from gramweave import parse_input, strip_ansi, tokenize
 from gramweave.cli import main
-from support import (FIXTURES, fixture, java_class_text, nested_arith_text,
-                     reference_format)
+from support import (FIXTURES, deep_grammar_text, fixture, java_class_text,
+                     nested_arith_text, reference_format)
 
 JAVA5 = str(FIXTURES / "java5.g")
 ARITH = str(FIXTURES / "arith.g")
@@ -32,6 +32,19 @@ def empty_aspect(tmp_path):
     path = tmp_path / "empty.aspect"
     path.write_text("", encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture()
+def deep_grammar(tmp_path):
+    """Arguments for a grammar of iterations nested 1,000 deep, an aspect
+    on its one terminal, a one-line lexer and an input of three tokens."""
+    files = {"deep.g": deep_grammar_text(1000), "in.txt": "abc",
+             "id.aspect": "s : {...} @ID: { group = name; after = {{ ' ' }} } ; ;",
+             "one.lex": "ID = /[a-z]/\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return (str(tmp_path / "deep.g"), str(tmp_path / "in.txt"),
+            "-a", str(tmp_path / "id.aspect"), "--lexer", str(tmp_path / "one.lex"))
 
 
 def run(capsys, *argv):
@@ -220,6 +233,12 @@ class TestHighlight:
         assert (code, err) == (0, "")
         assert strip_ansi(out) == nested_arith_text(1000)
 
+    def test_deep_grammar(self, capsys, deep_grammar, default_recursion_limit):
+        code, out, err = run(capsys, "highlight", *deep_grammar, "--format", "html")
+        assert (code, err) == (0, "")
+        assert '<pre><span class="name">a</span><span class="name">b</span>' \
+            '<span class="name">c</span></pre>' in out
+
     def test_failed_run_writes_nothing(self, capsys, tmp_path):
         src = tmp_path / "bad.java"
         src.write_text("class class\n", encoding="utf-8")
@@ -268,6 +287,10 @@ class TestFormat:
                            "-a", str(bad), "--lexer", ARITH_LEX)
         assert code == 1
         assert "attribute 'after'" in err
+
+    def test_deep_grammar(self, capsys, deep_grammar, default_recursion_limit):
+        code, out, err = run(capsys, "format", *deep_grammar)
+        assert (code, out, err) == (0, "a b c", "")
 
     def test_large_class_body(self, capsys, tmp_path, java5, java_lexer,
                               pretty_store, default_recursion_limit):

@@ -8,7 +8,8 @@ from gramweave.grammar import (ALTERNATIVE, EMPTY, GRAMMAR, ITERATION,
                                SYMBOL_DEF, SYMBOL_REF, ALL_KINDS, descendants,
                                iter_nodes)
 from support import (fixture, grammar_rows, long_grammar_text,
-                     random_grammar_text, reference_parse_grammar)
+                     random_grammar_text, reference_parse_grammar,
+                     reference_serialize_grammar)
 
 MISC = """
 list : item list : #empty ;
@@ -136,6 +137,19 @@ class TestRoundTrip:
         text = serialize_grammar(tree)
         assert "#empty" in text
         assert parse_grammar(text).root.structure_key == tree.root.structure_key
+
+    @pytest.mark.parametrize("name", ["arith.g", "java5.g", "java14.g"])
+    def test_fixture_text_like_reference(self, name):
+        tree = parse_grammar(fixture(name), name)
+        assert serialize_grammar(tree) == reference_serialize_grammar(tree)
+
+    def test_random_text_like_reference(self):
+        rng = random.Random(8)
+        texts = [random_grammar_text(rng) for _ in range(60)]
+        texts += [long_grammar_text(rng, 200) for _ in range(20)]
+        for text in texts:
+            tree = parse_grammar(text)
+            assert serialize_grammar(tree) == reference_serialize_grammar(tree), text
 
     def test_determinism(self):
         text = fixture("java5.g")

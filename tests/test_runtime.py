@@ -7,11 +7,11 @@ from gramweave import (LexError, NotationError, ParseError, Token, leaves,
                        parse_grammar, parse_input, parse_lexer_spec,
                        serialize_grammar, token_contexts, tokenize)
 from gramweave.grammar import literal_texts
-from gramweave.earley import _compile
+from gramweave.earley import _Compiled
 from support import (LanguageTooLarge, enumerate_language, fixture,
-                     oracle_accepts, oracle_parse, random_grammar,
-                     reference_chains, step_counts, token_shape,
-                     tree_difference)
+                     oracle_accepts, oracle_compile, oracle_parse,
+                     random_grammar, reference_chains, step_counts,
+                     token_shape, tree_difference)
 
 # (grammar, start rule, input) for every fixture input
 FIXTURE_INPUTS = [
@@ -367,8 +367,32 @@ class TestRecognitionOracle:
         assert checked >= 60
 
 
+class TestCompileOracle:
+    """The state tables against the earlier recursive compiler, whose
+    nonterminal keys are (kind, grammar-tree id) pairs."""
+
+    def assert_like_oracle(self, tree):
+        got, want = _Compiled(tree), oracle_compile(tree)
+        assert {nt: len(firsts) for nt, firsts in enumerate(got.starts) if firsts} == \
+            {key[1]: len(prods) for key, prods in want.by_lhs.items()}
+        assert got.nullable == {key[1] for key in want.nullable}
+        assert got.cyclic == want.cyclic
+        return got
+
+    @pytest.mark.parametrize("name", ["arith.g", "java5.g", "java14.g"])
+    def test_fixtures(self, name):
+        assert self.assert_like_oracle(parse_grammar(fixture(name), name)).nullable
+
+    def test_randomized(self):
+        rng = random.Random(70)
+        cyclic = set()
+        for _ in range(60):
+            cyclic.add(self.assert_like_oracle(random_grammar(rng)).cyclic)
+        assert cyclic == {False, True}
+
+
 class TestTreeOracle:
-    """Differential test: extraction against the earlier recursive extractor."""
+    """Differential test: extraction against the earlier recursive parser."""
 
     def assert_same(self, tree, start, tokens):
         want = oracle_parse(tree, start, tokens)
@@ -404,7 +428,7 @@ class TestTreeOracle:
             for shape in shapes:
                 if self.assert_same(tree, start, tokens_for(shape)):
                     compared += 1
-                    cyclic.add(_compile(tree).cyclic)
+                    cyclic.add(_Compiled(tree).cyclic)
         assert compared >= 200
         # both extraction paths ran: with and without unit cycles
         assert cyclic == {False, True}
@@ -444,7 +468,7 @@ class TestTreeOracle:
         tree = parse_grammar("s : m 'g' ; m : k : x 'f' ; k : n a 'b' ;\n"
                              "n : #empty : ID ; a : x ; x : k : y ;\n"
                              "y : ID : ID ID 'b' ;")
-        assert _compile(tree).cyclic
+        assert _Compiled(tree).cyclic
         ident, b, f, gee = ("term", "ID"), ("lit", "b"), ("lit", "f"), ("lit", "g")
         assert self.assert_same(tree, "s", tokens_for([ident, ident, b, f, gee]))
         compared = 0

@@ -9,12 +9,15 @@ from collections import Counter
 
 import pytest
 
-from gramweave import (assign_groups, format_tree, leaves, parse_aspect,
-                       parse_grammar, parse_input, render_ansi, strip_ansi,
-                       token_contexts, tokenize, weave)
+from gramweave import (ParseNode, WeaveFailure, assign_groups, format_tree,
+                       leaves, parse_aspect, parse_grammar, parse_input,
+                       parse_lexer_spec, render_ansi, serialize_grammar,
+                       strip_ansi, token_contexts, tokenize, weave)
 from gramweave.grammar import descendants
-from support import (chain_arith_text, java_class_text, nested_arith_text,
-                     reference_format, step_counts)
+from support import (chain_arith_text, deep_grammar_text, java_class_text,
+                     nested_arith_text, nested_iteration_text, oracle_parse,
+                     reference_format, reference_serialize_grammar,
+                     step_counts, tree_difference)
 
 pytestmark = pytest.mark.usefixtures("default_recursion_limit")
 
@@ -84,10 +87,53 @@ class TestGrammar:
         tree = parse_grammar("s : " + "(" * depth + "ID" + ")" * depth + " ;")
         ref = tree.rule_index["s"].children[0].children[0]
         assert (ref.kind, ref.detail, ref.span) == ("symbol_ref", "ID", (4, 4 + 2 * depth + 2))
-        tree = parse_grammar("s : " + "(" * depth + "ID" + ")*" * depth + " ;")
-        key, levels = tree.root.structure_key, 0
-        while key[0] != "symbol_ref":  # the key nests one level per iteration
-            key = key[2][0]
-            levels += key[0] == "iteration"
-        assert levels == depth
+        tree = parse_grammar(deep_grammar_text(depth))
+        # the key lists the subtree in pre-order: one entry per iteration
+        assert tree.root.structure_key == (
+            ("grammar", None, 1), ("symbol_def", "s", 1), ("production", None, 1)) + \
+            (("iteration", "star", 1),) * depth + (("symbol_ref", "ID", 0),)
         assert len(descendants(tree.root)) == depth + 3
+
+    def test_deep_serialization(self):
+        for depth in (50, 1000):
+            tree = parse_grammar(deep_grammar_text(depth))
+            text = serialize_grammar(tree)
+            assert text == "s : " + "(" * (depth - 1) + "ID*" + ")*" * (depth - 1) + " ;\n"
+            if depth == 50:
+                assert text == reference_serialize_grammar(tree)
+            assert parse_grammar(text).root.structure_key == tree.root.structure_key
+
+    def test_deep_variable_comparison(self):
+        depth = 1000
+        aspect = parse_aspect("# : $a=(..)* $a @#: { g = x } ;")
+        deep = nested_iteration_text(depth)
+        store = weave(parse_grammar(f"s : {deep} {deep} ;"), [aspect])
+        # the two ID references carry the attribute
+        assert list(store.annotated_nodes()) == [depth + 3, 2 * depth + 4]
+        # the two items differ only at the innermost reference
+        tree = parse_grammar(f"s : {deep} {nested_iteration_text(depth, 'NUM')} ;")
+        with pytest.raises(WeaveFailure, match="matched 0"):
+            weave(tree, [aspect])
+
+    def test_deep_grammar_parse(self):
+        lexer = parse_lexer_spec("ID = /[a-z]+/\nskip = / +/\n")
+        aspect = parse_aspect("s : {...} @ID: { group = name; after = {{ ' ' }} } ; ;")
+        text = "a b c"
+        for depth in (30, 1000):
+            tree = parse_grammar(deep_grammar_text(depth))
+            parsed = parse_input(tree, "s", tokenize(lexer, tree, text))
+            if depth == 30:
+                want = oracle_parse(tree, "s", parsed.tokens)
+                assert tree_difference(parsed.root, want) is None
+            # what the oracle picks at depth 30: each iteration holds one
+            # step, the innermost the three tokens
+            node, levels = parsed.root.children[0], 1
+            while isinstance(node.children[0], ParseNode):
+                assert len(node.children) == 1
+                node, levels = node.children[0], levels + 1
+            assert levels == depth
+            assert [leaf.gt_id for leaf in node.children] == [depth + 3] * 3
+            store = weave(tree, [aspect])
+            spans, formatted = run_backends(parsed, text, store)
+            assert [s.group for s in spans] == ["name"] * 3
+            assert formatted == reference_format(parsed, store)
