@@ -29,7 +29,7 @@ is what lets the backends look up woven annotations per token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import grammar as g
@@ -43,9 +43,13 @@ class ParseLeaf:
     token: Token
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ParseNode:
-    """One derivation step; kind is rule, ref, alt, seq, iter, or empty."""
+    """One derivation step; kind is rule, ref, alt, seq, iter, or empty.
+
+    Equality and repr mean what the dataclass-generated ones mean, but
+    walk the tree with an explicit stack, so any depth compares and prints.
+    """
 
     kind: str
     gt_id: int
@@ -53,27 +57,54 @@ class ParseNode:
     production_index: Optional[int] = None
     production_id: Optional[int] = None
 
+    def _head(self) -> tuple:
+        return self.kind, self.gt_id, self.production_index, self.production_id
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a._head() != b._head() or len(a.children) != len(b.children):
+                return False
+            for x, y in zip(a.children, b.children):
+                if x is y:
+                    continue
+                if isinstance(x, ParseNode) and x.__class__ is y.__class__:
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        out = []
+        stack: list = [self]  # what is left to print: nodes, leaves and text
+        while stack:
+            item = stack.pop()
+            if isinstance(item, ParseNode):
+                out.append(f"{item.__class__.__qualname__}(kind={item.kind!r}, "
+                           f"gt_id={item.gt_id!r}, children=[")
+                stack.append(f"], production_index={item.production_index!r}, "
+                             f"production_id={item.production_id!r})")
+                for j, kid in enumerate(reversed(item.children)):
+                    stack += (", ", kid) if j else (kid,)
+            else:
+                out.append(item if isinstance(item, str) else repr(item))
+        return "".join(out)
+
 
 @dataclass
 class ParseTree:
     root: ParseNode
     grammar: g.GrammarTree
     tokens: List[Token]
+    # what token_contexts returns, kept from its first call on this tree
+    contexts: Optional[list] = field(default=None, compare=False, repr=False)
 
 
 def leaves(tree: ParseTree) -> List[ParseLeaf]:
-    out: List[ParseLeaf] = []
-    stack = [iter((tree.root,))]  # per open node: its remaining children
-    while stack:
-        for node in stack[-1]:
-            if isinstance(node, ParseLeaf):
-                out.append(node)
-            else:
-                stack.append(iter(node.children))
-                break
-        else:
-            stack.pop()
-    return out
+    return [leaf for leaf, _, _ in token_contexts(tree)]
 
 
 def token_contexts(tree: ParseTree) -> List[Tuple[ParseLeaf, list, list]]:
@@ -87,11 +118,21 @@ def token_contexts(tree: ParseTree) -> List[Tuple[ParseLeaf, list, list]]:
     application is two steps: the defined symbol, then the chosen
     production.  Each step that derives a token appears once in each
     list kind; steps that derive nothing appear in neither.
+
+    The tree is walked once, on the first call; the result is kept on the
+    tree, so both backends share it.  Every call returns the same lists:
+    callers must not mutate them, nor the tree after the first call.
     """
+    if tree.contexts is None:
+        tree.contexts = _walk_contexts(tree.root)
+    return tree.contexts
+
+
+def _walk_contexts(root: ParseNode) -> List[Tuple[ParseLeaf, list, list]]:
     out: list = []
     pending: list = []  # ids opened since the last leaf
     count = 0
-    stack: list = [((), iter((tree.root,)), 0)]  # (ids, children, lo)
+    stack: list = [((), iter((root,)), 0)]  # (ids, children, lo)
     while stack:
         ids, kids, lo = stack[-1]
         for node in kids:

@@ -8,9 +8,12 @@ terminals get their shapes from a sidecar spec:
     INT        = /[0-9]+/
     skip       = /[ \\t\\r\\n]+/
 
-At each input position every grammar literal and every terminal regex is
-a candidate; the longest match wins, with ties broken in favor of
-literals (keywords beat IDENTIFIER) and then earlier spec entries.
+At each input position the longest match wins, with ties broken in favor
+of literals (keywords beat IDENTIFIER) and then earlier spec entries.  All
+grammar literals are compiled into one alternation, longest first, so a
+single match finds the longest literal; each terminal regex then runs
+once and wins only if it matches strictly more than the best literal and
+every earlier terminal (maximal munch: Reps, TOPLAS 1998).
 """
 
 from __future__ import annotations
@@ -73,7 +76,9 @@ def parse_lexer_spec(text: str, source: str = "<lexer>") -> LexerSpec:
 
 
 def tokenize(spec: LexerSpec, grammar: GrammarTree, text: str) -> List[Token]:
-    literals = set(literal_texts(grammar))
+    # sorted by (-len, text) so the pattern does not depend on set order
+    literals = sorted(set(literal_texts(grammar)), key=lambda lit: (-len(lit), lit))
+    literal_re = re.compile("|".join(map(re.escape, literals))) if literals else None
     compiled = [(name, re.compile(rx)) for name, rx in spec.terminals]
     skip_re = re.compile(spec.skip) if spec.skip is not None else None
     tokens: List[Token] = []
@@ -87,21 +92,15 @@ def tokenize(spec: LexerSpec, grammar: GrammarTree, text: str) -> List[Token]:
                 pos = m.end()
         if pos >= len(text):
             return tokens
-        # candidate ranking: length, then literal beats terminal, then file order
-        best = None
-        for lit in literals:
-            if text.startswith(lit, pos):
-                key = (len(lit), 1, 0)
-                if best is None or key > best[0]:
-                    best = (key, lit, None)
-        for idx, (name, rx) in enumerate(compiled):
+        # length first, then a literal beats a terminal, then file order
+        m = literal_re.match(text, pos) if literal_re is not None else None
+        end = m.end() if m is not None else pos
+        terminal = None
+        for name, rx in compiled:
             m = rx.match(text, pos)
-            if m is not None and m.end() > pos:
-                key = (m.end() - pos, 0, -idx)
-                if best is None or key > best[0]:
-                    best = (key, text[pos:m.end()], name)
-        if best is None:
+            if m is not None and m.end() > end:
+                end, terminal = m.end(), name
+        if end == pos:
             raise LexError(f"no token matches {text[pos:pos + 10]!r}", pos)
-        (length, _, _), matched, terminal = best
-        tokens.append(Token(matched, terminal, (pos, pos + length)))
-        pos += length
+        tokens.append(Token(text[pos:end], terminal, (pos, end)))
+        pos = end

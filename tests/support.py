@@ -6,15 +6,19 @@ the grammar's language instead of parsing, the tree oracle compiles the
 grammar with its own recursive compiler, the reference grammar parser
 descends over characters where parse_grammar lexes with one regular
 expression, the reference serializer recurses where serialize_grammar
-keeps a stack, the reference formatter walks the parse tree for its own
-chains and interprets whitespace programs with its own event loop, and the
-reference store writer lets json.dumps lay out a document built as dicts.
+keeps a stack, the reference tokenizer ranks every literal and terminal
+as a candidate where tokenize matches literals with one alternation, the
+reference formatter walks the parse tree for its own chains and
+interprets whitespace programs with its own event loop, and the reference
+store writer lets json.dumps lay out a document built as dicts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +27,8 @@ from gramweave import prettyprint
 from gramweave.annotations import (IntValue, NameValue, PunctValue,
                                    RecordValue, SeqValue, StrValue)
 from gramweave.earley import ParseLeaf, ParseNode, token_contexts
+from gramweave.errors import LexError
+from gramweave.lexer import Token
 from gramweave.scan import Cursor, escape_string
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -875,6 +881,85 @@ def reference_format(tree, store) -> str:
             out = out[:-1]
         out += "\n"
     return out
+
+
+# ParseNode as the plain dataclass declares it, whose generated __eq__ and
+# __repr__ recurse once per tree level; for trees of modest depth only.
+_DataclassNode = dataclasses.make_dataclass("ParseNode", [
+    ("kind", str), ("gt_id", int), ("children", list),
+    ("production_index", object, dataclasses.field(default=None)),
+    ("production_id", object, dataclasses.field(default=None))])
+
+
+def dataclass_node(node):
+    """A copy of a parse subtree made of _DataclassNode; leaves stay shared."""
+    if isinstance(node, ParseLeaf):
+        return node
+    return _DataclassNode(node.kind, node.gt_id,
+                          [dataclass_node(c) for c in node.children],
+                          node.production_index, node.production_id)
+
+
+def dataclass_repr(node) -> str:
+    return repr(dataclass_node(node))
+
+
+# ---------------------------------------------------------------------------
+# Reference tokenizer: every literal and terminal is a candidate at each
+# position, ranked by a key tuple.
+
+def reference_tokenize(spec, grammar: G.GrammarTree, text: str) -> list:
+    literals = set(G.literal_texts(grammar))
+    compiled = [(name, re.compile(rx)) for name, rx in spec.terminals]
+    skip_re = re.compile(spec.skip) if spec.skip is not None else None
+    tokens = []
+    pos = 0
+    while True:
+        if skip_re is not None:
+            while True:
+                m = skip_re.match(text, pos)
+                if m is None or m.end() == pos:
+                    break
+                pos = m.end()
+        if pos >= len(text):
+            return tokens
+        # candidate ranking: length, then literal beats terminal, then file order
+        best = None
+        for lit in literals:
+            if text.startswith(lit, pos):
+                key = (len(lit), 1, 0)
+                if best is None or key > best[0]:
+                    best = (key, lit, None)
+        for idx, (name, rx) in enumerate(compiled):
+            m = rx.match(text, pos)
+            if m is not None and m.end() > pos:
+                key = (m.end() - pos, 0, -idx)
+                if best is None or key > best[0]:
+                    best = (key, text[pos:m.end()], name)
+        if best is None:
+            raise LexError(f"no token matches {text[pos:pos + 10]!r}", pos)
+        (length, _, _), matched, terminal = best
+        tokens.append(Token(matched, terminal, (pos, pos + length)))
+        pos += length
+
+
+def random_token_text(rng: random.Random, grammar: G.GrammarTree,
+                      words: list, pieces: int = 40) -> str:
+    """Text glued from the grammar's literals, the given words, blanks and
+    now and then a character no fixture lexer accepts."""
+    literals = G.literal_texts(grammar)
+    out = []
+    for _ in range(pieces):
+        roll = rng.random()
+        if roll < 0.5:
+            out.append(rng.choice(literals))
+        elif roll < 0.8:
+            out.append(rng.choice(words))
+        elif roll < 0.98:
+            out.append(rng.choice([" ", "  ", "\n", "\t "]))
+        else:
+            out.append(rng.choice(["@", "#", "$", "\\"]))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@ import random
 
 import pytest
 
-from gramweave import (LexError, NotationError, ParseError, Token, leaves,
-                       parse_grammar, parse_input, parse_lexer_spec,
+from gramweave import (LexError, NotationError, ParseError, ParseLeaf,
+                       ParseNode, Token, assign_groups, earley, format_tree,
+                       leaves, parse_grammar, parse_input, parse_lexer_spec,
                        serialize_grammar, token_contexts, tokenize)
 from gramweave.grammar import literal_texts
 from gramweave.earley import _Compiled
-from support import (LanguageTooLarge, enumerate_language, fixture,
-                     oracle_accepts, oracle_compile, oracle_parse,
-                     random_grammar, reference_chains, step_counts,
-                     token_shape, tree_difference)
+from support import (LanguageTooLarge, dataclass_node, dataclass_repr,
+                     enumerate_language, fixture, oracle_accepts,
+                     oracle_compile, oracle_parse, random_grammar,
+                     random_token_text, reference_chains, reference_tokenize,
+                     step_counts, token_shape, tree_difference)
 
 # (grammar, start rule, input) for every fixture input
 FIXTURE_INPUTS = [
@@ -21,6 +23,13 @@ FIXTURE_INPUTS = [
     ("java5.g", "typeParameters", "typeparams.txt"),
     ("java14.g", "classDeclaration", "classbody.java"),
 ]
+
+
+def fixture_input(request, grammar, name):
+    """The grammar tree, its lexer spec and the text of a FIXTURE_INPUTS row."""
+    lexer = "arith_lexer" if grammar == "arith.g" else "java_lexer"
+    return (request.getfixturevalue(grammar[:-2]), request.getfixturevalue(lexer),
+            fixture(f"inputs/{name}"))
 
 
 class TestLexerSpec:
@@ -87,6 +96,81 @@ class TestTokenize:
         for token in tokens:
             lo, hi = token.span
             assert text[lo:hi] == token.text
+
+
+def lex_outcome(tokenizer, spec, grammar, text):
+    """The tokens, or the LexError's message and offset."""
+    try:
+        return tokenizer(spec, grammar, text)
+    except LexError as exc:
+        return ("error", exc.message, exc.position)
+
+
+# (grammar, lexer spec, input, expected (text, terminal) pairs or the
+# offset of the LexError)
+TIES = [
+    # a keyword beats IDENTIFIER on a tie, a longer IDENTIFIER beats it
+    ("s : 'class' ID* ;", "ID = /[A-Za-z_][A-Za-z0-9_]*/\nskip = / +/",
+     "class classX", [("class", None), ("classX", "ID")]),
+    # prefix literals: the longest one that matches
+    ("s : ('<' | '<<' | '<<=' | ID)* ;", "ID = /[a-z]+/",
+     "<<=<<<a", [("<<=", None), ("<<", None), ("<", None), ("a", "ID")]),
+    # two terminals of equal match length: the earlier in the file
+    ("s : (A | B)* ;", "A = /[a-z]+/\nB = /[a-z0-9]+/\nskip = / +/",
+     "ab ab1", [("ab", "A"), ("ab1", "B")]),
+    ("s : (A | B)* ;", "B = /[a-z0-9]+/\nA = /[a-z]+/\nskip = / +/",
+     "ab ab1", [("ab", "B"), ("ab1", "B")]),
+    # a terminal longer than a literal wins; an equally long one loses
+    ("s : ('<' | OP)* ;", "OP = /<[=>]/\nskip = / +/",
+     "<= < <>", [("<=", "OP"), ("<", None), ("<>", "OP")]),
+    ("s : ('<' | OP)* ;", "OP = /<=?/", "<<=", [("<", None), ("<=", "OP")]),
+    # a terminal that matches empty makes no token
+    ("s : ('a' | N)* ;", "N = /[0-9]*/", "a1a", [("a", None), ("1", "N"), ("a", None)]),
+    ("s : ('a' | N)* ;", "N = /[0-9]*/", "a?", 1),
+    # a skip that matches empty skips nothing
+    ("s : 'a'* ;", "skip = / */", "a  a ", [("a", None), ("a", None)]),
+    ("s : 'a'* ;", "skip = / */", "a-", 1),
+    # no literals, no skip
+    ("s : ID* ;", "ID = /[a-z]+/\nskip = / +/", "ab cd", [("ab", "ID"), ("cd", "ID")]),
+    ("s : 'a'* ;", "", "aa a", 2),
+]
+
+
+class TestLexerOracle:
+    """tokenize against reference_tokenize, which ranks every candidate."""
+
+    @pytest.mark.parametrize("grammar, start, name", FIXTURE_INPUTS)
+    def test_fixture_inputs(self, request, grammar, start, name):
+        tree, lexer, text = fixture_input(request, grammar, name)
+        tokens = tokenize(lexer, tree, text)
+        assert tokens == reference_tokenize(lexer, tree, text)
+
+    @pytest.mark.parametrize("grammar, lexer, words", [
+        ("arith", "arith_lexer", ["+", "-", "*", "/", "+-", "7", "123"]),
+        ("java5", "java_lexer", ["x", "_a1", "class", "classX", "intx", "T"]),
+    ])
+    def test_random_texts(self, request, grammar, lexer, words):
+        tree = request.getfixturevalue(grammar)
+        spec = request.getfixturevalue(lexer)
+        rng = random.Random(20261018)
+        errors = 0
+        for _ in range(150):
+            text = random_token_text(rng, tree, words)
+            got = lex_outcome(tokenize, spec, tree, text)
+            assert got == lex_outcome(reference_tokenize, spec, tree, text), text
+            errors += isinstance(got, tuple)
+        assert 0 < errors < 150  # both outcomes are compared
+
+    @pytest.mark.parametrize("grammar_text, spec_text, text, expected", TIES)
+    def test_ties(self, grammar_text, spec_text, text, expected):
+        tree = parse_grammar(grammar_text)
+        spec = parse_lexer_spec(spec_text)
+        got = lex_outcome(tokenize, spec, tree, text)
+        assert got == lex_outcome(reference_tokenize, spec, tree, text)
+        if isinstance(expected, int):
+            assert got[0] == "error" and got[2] == expected
+        else:
+            assert [(t.text, t.terminal) for t in got] == expected
 
 
 class TestParse:
@@ -201,8 +285,49 @@ class TestParse:
         assert [l.token.text for l in leaves(pt)] == ["7"]
 
 
+class TestParseNode:
+    """Equality and repr walk iteratively but mean what the dataclass ones do."""
+
+    def test_repr_text(self):
+        token = Token("1", "INT", (0, 1))
+        node = ParseNode("rule", 1, [ParseLeaf(2, token), ParseNode("iter", 3, [])], 0, 5)
+        assert repr(node) == (
+            "ParseNode(kind='rule', gt_id=1, children=[ParseLeaf(gt_id=2, "
+            "token=Token(text='1', terminal='INT', span=(0, 1))), "
+            "ParseNode(kind='iter', gt_id=3, children=[], production_index=None, "
+            "production_id=None)], production_index=0, production_id=5)")
+
+    @pytest.mark.parametrize("grammar, start, name", FIXTURE_INPUTS)
+    def test_like_dataclass(self, request, grammar, start, name):
+        tree, lexer, text = fixture_input(request, grammar, name)
+        tokens = tokenize(lexer, tree, text)
+        a = parse_input(tree, start, tokens).root
+        b = parse_input(tree, start, tokens).root
+        assert repr(a) == dataclass_repr(a)
+        assert a == b and not a != b
+        assert dataclass_node(a) == dataclass_node(b)
+        # change one field deep in b: both equalities turn false
+        node = b
+        while isinstance(node.children[-1], ParseNode):
+            node = node.children[-1]
+        node.production_id = -1
+        assert a != b and not a == b
+        assert dataclass_node(a) != dataclass_node(b)
+
+    def test_other_types(self):
+        node = ParseNode("empty", 1, [])
+        leaf = ParseLeaf(1, Token("x", "ID", (0, 1)))
+        assert node != leaf and leaf != node
+        assert ParseNode("seq", 1, [node]) != ParseNode("seq", 1, [leaf])
+        assert node != ("empty", 1, [])
+        with pytest.raises(TypeError):
+            hash(node)
+
+
 class ParseTreeView:
     """Minimal stand-in so leaves() can walk a subtree."""
+
+    contexts = None  # where token_contexts keeps its walk
 
     def __init__(self, node):
         self.root = node
@@ -273,10 +398,8 @@ class TestTokenContexts:
     @pytest.mark.parametrize("grammar, start, name", FIXTURE_INPUTS)
     def test_fixture_inputs_match_reference_chains(self, request, grammar,
                                                    start, name):
-        tree = request.getfixturevalue(grammar[:-2])
-        lexer = request.getfixturevalue("arith_lexer" if grammar == "arith.g"
-                                        else "java_lexer")
-        tokens = tokenize(lexer, tree, fixture(f"inputs/{name}"))
+        tree, lexer, text = fixture_input(request, grammar, name)
+        tokens = tokenize(lexer, tree, text)
         pt = parse_input(tree, start, tokens)
         contexts = token_contexts(pt)
         assert contexts == implied_contexts(pt)
@@ -306,6 +429,32 @@ class TestTokenContexts:
         assert compared >= 200
         # some trees hold steps that derive nothing, which appear nowhere
         assert empty_steps > 0
+
+    def test_walked_once_and_shared(self, java5, java_lexer, highlight_store,
+                                    pretty_store, monkeypatch):
+        walks = []
+        walk = earley._walk_contexts
+        monkeypatch.setattr(earley, "_walk_contexts",
+                            lambda root: walks.append(root) or walk(root))
+        pt = parse_input(java5, "normalClassDeclaration",
+                         tokenize(java_lexer, java5, fixture("inputs/generics.java")))
+        assign_groups(pt, highlight_store)
+        format_tree(pt, pretty_store)
+        assert walks == [pt.root]
+        assert token_contexts(pt) is token_contexts(pt)
+        assert [leaf for leaf, _, _ in token_contexts(pt)] == leaves(pt)
+        assert walks == [pt.root]
+
+    def test_stored_walk_is_not_compared_or_shown(self, arith, arith_lexer):
+        tokens = tokenize(arith_lexer, arith, "1+2*3")
+        a = parse_input(arith, "expr", tokens)
+        b = parse_input(arith, "expr", tokens)
+        text = repr(b)
+        token_contexts(a)
+        assert a.contexts is not None and b.contexts is None
+        assert a == b
+        assert repr(a) == repr(b) == text
+        assert "contexts" not in text
 
 
 class TestRecognitionOracle:
@@ -435,11 +584,8 @@ class TestTreeOracle:
 
     @pytest.mark.parametrize("grammar, start, name", FIXTURE_INPUTS)
     def test_fixture_inputs(self, request, grammar, start, name):
-        tree = request.getfixturevalue(grammar[:-2])
-        lexer = request.getfixturevalue("arith_lexer" if grammar == "arith.g"
-                                        else "java_lexer")
-        tokens = tokenize(lexer, tree, fixture(f"inputs/{name}"))
-        assert self.assert_same(tree, start, tokens)
+        tree, lexer, text = fixture_input(request, grammar, name)
+        assert self.assert_same(tree, start, tokenize(lexer, tree, text))
 
     def test_fixture_sentences(self, arith, arith_lexer):
         for text in ["1", "1+2*3", "(1+2)*3", "1-2-3", "((4))/5", "1+", ")("]:

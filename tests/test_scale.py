@@ -35,6 +35,14 @@ def run_backends(tree, text, store):
     return spans, format_tree(tree, store)
 
 
+def nodes(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in node.children if isinstance(c, ParseNode))
+
+
 class TestArith:
     def test_deep_nesting(self, arith, arith_lexer, arith_store):
         text = nested_arith_text(1000)
@@ -56,6 +64,21 @@ class TestArith:
         assert set(opened.values()) == set(closed.values()) == {1}
         assert opened == closed
         assert len(opened) == step_counts(tree.root)[1]
+
+    def test_deep_nesting_compares_and_prints(self, arith, arith_lexer):
+        def parse(text):
+            return parse_input(arith, "expr", tokenize(arith_lexer, arith, text))
+
+        text = nested_arith_text(1000)
+        a, b = parse(text), parse(text)
+        assert a.root == b.root and a == b
+        other = parse(text.replace("1", "2"))  # differs only in the innermost token
+        assert a.root != other.root
+        printed = repr(a.root)
+        assert printed.startswith("ParseNode(kind='rule'")
+        assert printed.count("ParseNode(") == sum(1 for _ in nodes(a.root))
+        assert printed.count("ParseLeaf(") == 2001
+        assert printed == repr(b.root)
 
     def test_long_chain(self, arith, arith_lexer, arith_store):
         text = chain_arith_text(5000)
