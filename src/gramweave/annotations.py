@@ -331,6 +331,25 @@ class AnnotationStore:
         return sum(len(attrs) for attrs in self._by_node.values())
 
 
+class NodeMemo(dict):
+    """Node id -> read(node id), read on the first lookup of each id and kept.
+
+    The backends make one per call for the attribute they read, so each
+    node's attribute is looked up and decoded at most once per call, and
+    only for nodes the input reaches.
+    """
+
+    __slots__ = ("read",)
+
+    def __init__(self, read):
+        super().__init__()
+        self.read = read
+
+    def __missing__(self, node_id: int):
+        value = self[node_id] = self.read(node_id)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 

@@ -7,7 +7,8 @@ Exit codes are a stable contract:
      malformed whitespace advice)
   2  syntax errors in the grammar/aspect/lexer/palette files, usage
      errors, unreadable files
-  3  lex or parse errors in the input text
+  3  lex or parse errors in the input text, reported as
+     `error: path:line:col: message`
 
 Output files are written only after the whole result has been computed,
 so a failing run never leaves a partial file behind.
@@ -24,8 +25,8 @@ from typing import List, Optional
 from .annotations import serialize_store
 from .aspects import WeaveError, parse_aspect, weave
 from .earley import parse_input
-from .errors import (ConflictError, GramweaveError, LexError, NotationError,
-                     ParseError, WeaveFailure, WhitespaceError)
+from .errors import (ConflictError, GramweaveError, InputError, NotationError,
+                     WeaveFailure, WhitespaceError)
 from .grammar import GrammarTree, parse_grammar
 from .highlight import assign_groups, html_page, parse_palette, render_ansi
 from .lexer import parse_lexer_spec, tokenize
@@ -114,8 +115,19 @@ def _start_symbol(args, tree: GrammarTree) -> str:
 def _parse_source(args, tree: GrammarTree):
     spec = parse_lexer_spec(_read(args.lexer), args.lexer)
     text = _read(args.input)
-    tokens = tokenize(spec, tree, text)
-    return text, parse_input(tree, _start_symbol(args, tree), tokens)
+    try:
+        tokens = tokenize(spec, tree, text)
+        return text, parse_input(tree, _start_symbol(args, tree), tokens)
+    except InputError as exc:
+        exc.where = _location(args.input, text, exc.position)
+        raise
+
+
+def _location(path: str, text: str, offset: int) -> str:
+    """`path:line:col` of a character offset into text, counting from 1."""
+    line = text.count("\n", 0, offset) + 1
+    col = offset - text.rfind("\n", 0, offset)
+    return f"{path}:{line}:{col}"
 
 
 def _use_color(args) -> bool:
@@ -191,7 +203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except WhitespaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WEAVE
-    except (LexError, ParseError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (NotationError, OSError) as exc:

@@ -10,8 +10,12 @@ earlier alternative branches are preferred, and nonterminal spans are
 tried shortest-first.
 
 No step recurses, so grammar nesting and input size are bounded by
-memory only.  The recognizer indexes the items of each Earley set by the nonterminal they
-wait on, so a completion advances just those items.  Extraction reads
+memory only.  The compiled tables are built once per grammar tree and
+kept while the tree lives.  The recognizer's items are ints; it indexes
+the items of each Earley set by the nonterminal they wait on, so a
+completion advances just those items, and a prediction looks one token
+ahead, so it adds only the productions that can start with that token or
+that the chart needs for an empty completion.  Extraction reads
 split points from the chart instead of searching for them (Scott,
 *SPPF-style parsing from Earley recognisers*, 2008): each element takes
 the shortest end from which the rest of its production can still reach
@@ -29,6 +33,7 @@ is what lets the backends look up woven annotations per token.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -184,6 +189,13 @@ class _Compiled:
     nonterminal, its bit among that nonterminal's productions, the
     (kind, gt_id, production_index, production_id) of the parse node it
     builds, and its number of elements.
+
+    `first[nt]` is the FIRST set of a nonterminal: the terminal codes its
+    derivations can start with.  `lead[s]`, by a production's first state,
+    is that production's FIRST set, or None when a prediction must add the
+    production before any token: it derives nothing, or predicting it
+    predicts a nullable nonterminal, whose empty completion the chart
+    records whatever follows.
     """
 
     def __init__(self, tree: g.GrammarTree):
@@ -248,6 +260,47 @@ class _Compiled:
                     changed = True
         self.skip = [a in nullable for a in after]
 
+        # FIRST sets, to fixpoint the same way
+        first = self.first = {lhs[s]: set() for s in firsts}
+        changed = True
+        while changed:
+            changed = False
+            for s in reversed(firsts):
+                into = first[lhs[s]]
+                count = len(into)
+                for a in after[s:s + size[s]]:
+                    if a < 0:
+                        into.add(a)
+                        break
+                    into |= first[a]
+                    if a not in nullable:
+                        break
+                changed |= len(into) != count
+
+        # nonterminals whose prediction predicts a nullable one, through the
+        # first elements of their productions
+        wakes = set()
+        changed = True
+        while changed:
+            changed = False
+            for s in reversed(firsts):
+                a = after[s]
+                if lhs[s] not in wakes and a is not None and a >= 0 \
+                        and (a in nullable or a in wakes):
+                    wakes.add(lhs[s])
+                    changed = True
+        # a production that starts with a non-nullable element has that
+        # element's FIRST set
+        lead: Dict[int, Optional[set]] = {}
+        for s in firsts:
+            a = after[s]
+            if a is None or a >= 0 and (a in nullable or a in wakes):
+                lead[s] = None
+            else:
+                lead[s] = {a} if a < 0 else first[a]
+        self.lead = lead
+        self._predicted: Dict[int, list] = {}
+
         # unit links: a production of K tries one of its nonterminals over K's
         # whole span when the elements before it are nullable, whatever follows
         # (a search derives each candidate before it looks at the rest); the
@@ -275,6 +328,20 @@ class _Compiled:
                 if incoming[nt] == 0:
                     free.append(nt)
         self.cyclic = bool(links)  # a search may try a nonterminal below itself over one span
+
+    def predicted(self, code: int) -> list:
+        """Per nonterminal, the first states of the productions that a
+        prediction before a token of this code adds: those whose `lead`
+        is None or holds the code.  No other production can scan the token,
+        complete before it or lead to a completion before it.  Built on the
+        first use of each code."""
+        table = self._predicted.get(code)
+        if table is None:
+            lead = self.lead
+            table = self._predicted[code] = [
+                starts and [s for s in starts if lead[s] is None or code in lead[s]]
+                for starts in self.starts]
+        return table
 
     def _symbol(self, tree: g.GrammarTree, elem: g.GtNode) -> int:
         """The nonterminal or terminal code an element stands for."""
@@ -311,29 +378,47 @@ def _recognize(cg: _Compiled, start: int, tokens: List[Token], codes: List[int])
     `ends[nt * (n + 1) + origin]` maps each end, in ascending order, to
     the bit set of the nonterminal's productions that derive the tokens
     from origin to that end, and `origins[end][nt]` lists those origins.
-    Items are (state, origin) pairs; an Earley set is dropped once the
-    next one is built, and only the items waiting on a nonterminal stay,
-    indexed by that nonterminal, until the parse ends.
+    An item is the int `state * (n + 1) + origin`, so advancing its dot
+    adds n + 1.  An Earley set is dropped once the next one is built, and
+    only the items waiting on a nonterminal stay, indexed by that
+    nonterminal, until the parse ends.
+
+    A prediction looks one token ahead (`_Compiled.predicted`).  The
+    productions it leaves out could add nothing to either table: they can
+    neither scan the token nor lead to a completion before it.  So both tables
+    hold exactly what predicting every production would give.  A failure
+    reports what such a set would expect: the terminals after a dot in the
+    set, and the FIRST sets of the nonterminals predicted in it.
+
+    Only an item whose dot follows a nonterminal can be reached twice in
+    one set, by a completion or by skipping a nullable nonterminal, so only
+    those are kept in `seen`.  A production's first state is reached only
+    by predicting its nonterminal, once per set; the start symbol counts as
+    predicted in set 0.
     """
-    after, lhs, bit, skip, starts = cg.after, cg.lhs, cg.bit, cg.skip, cg.starts
+    after, lhs, bit, skip = cg.after, cg.lhs, cg.bit, cg.skip
     n = len(tokens)
     width = n + 1
     ends: Dict[int, Dict[int, int]] = {}
     origins: List[Dict[int, List[int]]] = []
     waiters: List[Dict[int, list]] = []  # per set: nonterminal -> advanced items
-    items = [(s, 0) for s in starts[start]]
+    items = [s * width for s in cg.predicted(codes[0] if n else 0)[start]]
     for i in range(width):
-        seen = set(items)
-        waiting: Dict[int, list] = {}
+        seen = set()
+        waiting: Dict[int, list] = {start: []} if i == 0 else {}
         waiters.append(waiting)
         done: Dict[int, List[int]] = {}
         origins.append(done)
         code = codes[i] if i < n else 0
+        predicted = cg.predicted(code)
         scanned = []
-        for state, origin in items:  # items grows while it is walked
+        append = items.append
+        for item in items:  # items grows while it is walked
+            state = item // width
             a = after[state]
             if a is None:
                 nt = lhs[state]
+                origin = item - state * width
                 key = nt * width + origin
                 row = ends.get(key)
                 if row is None:
@@ -347,26 +432,23 @@ def _recognize(cg: _Compiled, start: int, tokens: List[Token], codes: List[int])
                 for item in waiters[origin].get(nt, ()):
                     if item not in seen:
                         seen.add(item)
-                        items.append(item)
+                        append(item)
             elif a >= 0:
-                item = (state + 1, origin)
+                item += width
                 wait = waiting.get(a)
                 if wait is None:
                     waiting[a] = [item]
-                    for s in starts[a]:
-                        st = (s, i)
-                        if st not in seen:
-                            seen.add(st)
-                            items.append(st)
+                    for s in predicted[a]:
+                        append(s * width + i)
                 else:
                     wait.append(item)
                 # a nullable nonterminal may already have completed here
                 # (Aycock & Horspool, Practical Earley Parsing, 2002)
                 if skip[state] and item not in seen:
                     seen.add(item)
-                    items.append(item)
+                    append(item)
             elif a == code:
-                scanned.append((state + 1, origin))
+                scanned.append(item + width)
         if not scanned:
             break
         items = scanned
@@ -378,9 +460,11 @@ def _recognize(cg: _Compiled, start: int, tokens: List[Token], codes: List[int])
     else:
         position = tokens[-1].span[1] if tokens else 0
         what = "unexpected end of input"
-    expected = {cg.display[after[s]] for s, _ in items
-                if after[s] is not None and after[s] < 0}
-    raise ParseError(what, position, tuple(sorted(expected)))
+    expected = {after[item // width] for item in items}
+    for nt in waiting:
+        expected |= cg.first[nt]
+    raise ParseError(what, position, tuple(sorted(
+        cg.display[a] for a in expected if a is not None and a < 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +699,19 @@ class _Extractor:
         return node
 
 
+# a grammar tree's compiled tables, built on its first parse; a grammar tree
+# is frozen, so they never go stale, and they go when the tree does
+_compiled: "weakref.WeakKeyDictionary[g.GrammarTree, _Compiled]" = weakref.WeakKeyDictionary()
+
+
 def parse_input(tree: g.GrammarTree, start: str, tokens: List[Token]) -> ParseTree:
     """Parse tokens from the given start rule; raises ParseError on failure."""
     if start not in tree.rule_index:
         raise NotationError(f"start symbol '{start}' is not a defined rule",
                             tree.origin)
-    cg = _Compiled(tree)
+    cg = _compiled.get(tree)
+    if cg is None:
+        cg = _compiled[tree] = _Compiled(tree)
     start_nt = tree.rule_index[start].id
     codes = _token_codes(cg, tokens)
     ends, origins = _recognize(cg, start_nt, tokens, codes)

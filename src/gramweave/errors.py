@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: NotationError family -> 2,
-LexError/ParseError -> 3, WeaveFailure (and the ConflictError items
-inside it) -> 1.
+InputError (LexError, ParseError) -> 3, WeaveFailure (and the
+ConflictError items inside it) -> 1.
 """
 
 from __future__ import annotations
@@ -29,8 +29,12 @@ class NotationError(GramweaveError):
         return f"{self.source}: {self.message}"
 
 
-class LexError(GramweaveError):
-    """No token candidate matches at some input position."""
+class InputError(GramweaveError):
+    """The input text does not fit the lexer spec or the grammar at a
+    character offset.  Messages name the place as `where`, or as the
+    offset while no caller that knows the file has set it."""
+
+    where: str | None = None  # e.g. "path:line:col"
 
     def __init__(self, message: str, position: int):
         super().__init__(message)
@@ -38,20 +42,22 @@ class LexError(GramweaveError):
         self.position = position
 
     def __str__(self) -> str:
-        return f"offset {self.position}: {self.message}"
+        return f"{self.where or f'offset {self.position}'}: {self.message}"
 
 
-class ParseError(GramweaveError):
+class LexError(InputError):
+    """No token candidate matches at some input position."""
+
+
+class ParseError(InputError):
     """Input token stream is not derivable from the start symbol."""
 
     def __init__(self, message: str, position: int, expected: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.message = message
-        self.position = position
+        super().__init__(message, position)
         self.expected = expected
 
     def __str__(self) -> str:
-        s = f"offset {self.position}: {self.message}"
+        s = super().__str__()
         if self.expected:
             s += " (expected " + ", ".join(self.expected) + ")"
         return s

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .annotations import AnnotationStore, NameValue, StrValue
+from .annotations import AnnotationStore, NameValue, NodeMemo, StrValue
 from .earley import ParseTree, token_contexts
 from .errors import NotationError
 
@@ -51,7 +51,12 @@ def _group_name(value) -> Optional[str]:
 
 
 def assign_groups(tree: ParseTree, store: AnnotationStore) -> List[HighlightSpan]:
-    """One span per token, in order, each with its resolved group."""
+    """One span per token, in order, each with its resolved group.
+
+    A node's group is looked up the first time a token needs it and kept
+    for the call.
+    """
+    groups = NodeMemo(lambda gid: _group_name(store.lookup(gid, "group")))
     spans = []
     for index, (leaf, _opened, closed) in enumerate(token_contexts(tree)):
         group = PLAIN
@@ -60,7 +65,7 @@ def assign_groups(tree: ParseTree, store: AnnotationStore) -> List[HighlightSpan
         for gid, lo in closed:
             if lo != index:
                 break
-            name = _group_name(store.lookup(gid, "group"))
+            name = groups[gid]
             if name is not None:
                 group = name
                 break

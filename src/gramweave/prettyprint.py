@@ -14,7 +14,8 @@ import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .annotations import AnnotationStore, Attribute, NameValue, SeqValue, StrValue
+from .annotations import (AnnotationStore, Attribute, NameValue, NodeMemo,
+                          SeqValue, StrValue)
 from .earley import ParseTree, token_contexts
 from .errors import WhitespaceError
 
@@ -88,13 +89,21 @@ def _decode_attr(attr: Optional[Attribute]) -> Optional[WhitespaceProgram]:
     return decode_whitespace(attr.value, _describe(attr))
 
 
-class _Defaults:
+class _Whitespace:
+    """The whitespace programs format_tree runs around each token.
+
+    The defaults are decoded up front; a node's `before` and `after`
+    programs are looked up and decoded the first time a token reaches the
+    node, and kept, so a malformed program on a node no token reaches
+    raises nothing.
+    """
+
     def __init__(self, store: AnnotationStore):
         root = store.root_id
         before = _decode_attr(store.attribute(root, "defaultBefore"))
         after = _decode_attr(store.attribute(root, "defaultAfter"))
-        self.before: WhitespaceProgram = before if before is not None else ()
-        self.after: WhitespaceProgram = after if after is not None else ()
+        self.default_before: WhitespaceProgram = before if before is not None else ()
+        self.default_after: WhitespaceProgram = after if after is not None else ()
         unit_attr = store.attribute(root, "indentUnit")
         if unit_attr is None:
             self.indent_unit = DEFAULT_INDENT_UNIT
@@ -103,22 +112,23 @@ class _Defaults:
         else:
             raise WhitespaceError(
                 f"{_describe(unit_attr)}: indentUnit must be a string")
+        self.before = NodeMemo(lambda gid: _decode_attr(store.attribute(gid, "before")))
+        self.after = NodeMemo(lambda gid: _decode_attr(store.attribute(gid, "after")))
+
+    def around(self, opened, closed) -> Tuple[WhitespaceProgram, WhitespaceProgram]:
+        """(before, after) for a token of token_contexts: the before programs
+        of the nodes whose range starts at it, outermost to innermost, and
+        the after programs of those whose range ends at it, innermost to
+        outermost; each falls back to its default if no node has one."""
+        before, after = self.before, self.after
+        return (_joined([before[gid] for gid in opened], self.default_before),
+                _joined([after[gid] for gid, _lo in closed], self.default_after))
 
 
-def _joined(store: AnnotationStore, ids, name: str,
-            default: WhitespaceProgram) -> WhitespaceProgram:
-    """The nodes' `name` programs run in order; default if none has one."""
-    progs = [_decode_attr(store.attribute(gid, name)) for gid in ids]
+def _joined(progs, default: WhitespaceProgram) -> WhitespaceProgram:
+    """The programs that are not None, run in order; default if none is."""
     progs = [prog for prog in progs if prog is not None]
     return tuple(item for prog in progs for item in prog) if progs else default
-
-
-def _programs(opened, closed, store: AnnotationStore,
-              defaults: _Defaults) -> Tuple[WhitespaceProgram, WhitespaceProgram]:
-    # before: outermost to innermost over nodes whose range starts here;
-    # after: innermost to outermost over nodes whose range ends here
-    return (_joined(store, opened, "before", defaults.before),
-            _joined(store, (gid for gid, _lo in closed), "after", defaults.after))
 
 
 class FormatterState:
@@ -175,11 +185,11 @@ class FormatterState:
 
 def format_tree(tree: ParseTree, store: AnnotationStore) -> str:
     """Re-emit the parsed token stream with woven whitespace applied."""
-    defaults = _Defaults(store)
-    state = FormatterState(defaults.indent_unit)
+    whitespace = _Whitespace(store)
+    state = FormatterState(whitespace.indent_unit)
     pending: Optional[WhitespaceProgram] = None
     for leaf, opened, closed in token_contexts(tree):
-        before, after = _programs(opened, closed, store, defaults)
+        before, after = whitespace.around(opened, closed)
         if pending is not None:
             state.run(pending)
         state.run(before)

@@ -8,6 +8,8 @@ descends over characters where parse_grammar lexes with one regular
 expression, the reference serializer recurses where serialize_grammar
 keeps a stack, the reference tokenizer ranks every literal and terminal
 as a candidate where tokenize matches literals with one alternation, the
+reference recognizer predicts every production over tuple items where
+the parser's recognizer looks one token ahead over int items, the
 reference formatter walks the parse tree for its own chains and
 interprets whitespace programs with its own event loop, and the reference
 store writer lets json.dumps lay out a document built as dicts.
@@ -21,13 +23,14 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Dict, List
 
 from gramweave import grammar as G
 from gramweave import prettyprint
 from gramweave.annotations import (IntValue, NameValue, PunctValue,
                                    RecordValue, SeqValue, StrValue)
 from gramweave.earley import ParseLeaf, ParseNode, token_contexts
-from gramweave.errors import LexError
+from gramweave.errors import LexError, ParseError
 from gramweave.lexer import Token
 from gramweave.scan import Cursor, escape_string
 
@@ -435,6 +438,92 @@ def oracle_parse(tree: G.GrammarTree, start: str, tokens):
     return None
 
 
+# ---------------------------------------------------------------------------
+# Reference recognizer: the chart recognizer as it was before items became
+# ints and prediction looked ahead, verbatim.  It reads the same compiled
+# tables as earley._recognize and must return equal ends/origins and raise
+# equal ParseErrors.
+
+
+def reference_recognize(cg, start: int, tokens, codes):
+    """Run the recognizer; return the chart's completions or raise ParseError.
+
+    Completions come back as two tables over nonterminal indexes:
+    `ends[nt * (n + 1) + origin]` maps each end, in ascending order, to
+    the bit set of the nonterminal's productions that derive the tokens
+    from origin to that end, and `origins[end][nt]` lists those origins.
+    Items are (state, origin) pairs; an Earley set is dropped once the
+    next one is built, and only the items waiting on a nonterminal stay,
+    indexed by that nonterminal, until the parse ends.
+    """
+    after, lhs, bit, skip, starts = cg.after, cg.lhs, cg.bit, cg.skip, cg.starts
+    n = len(tokens)
+    width = n + 1
+    ends: Dict[int, Dict[int, int]] = {}
+    origins: List[Dict[int, List[int]]] = []
+    waiters: List[Dict[int, list]] = []  # per set: nonterminal -> advanced items
+    items = [(s, 0) for s in starts[start]]
+    for i in range(width):
+        seen = set(items)
+        waiting: Dict[int, list] = {}
+        waiters.append(waiting)
+        done: Dict[int, List[int]] = {}
+        origins.append(done)
+        code = codes[i] if i < n else 0
+        scanned = []
+        for state, origin in items:  # items grows while it is walked
+            a = after[state]
+            if a is None:
+                nt = lhs[state]
+                key = nt * width + origin
+                row = ends.get(key)
+                if row is None:
+                    row = ends[key] = {}
+                mask = row.get(i)
+                if mask is not None:  # an earlier production already advanced the waiters
+                    row[i] = mask | bit[state]
+                    continue
+                row[i] = bit[state]
+                done.setdefault(nt, []).append(origin)
+                for item in waiters[origin].get(nt, ()):
+                    if item not in seen:
+                        seen.add(item)
+                        items.append(item)
+            elif a >= 0:
+                item = (state + 1, origin)
+                wait = waiting.get(a)
+                if wait is None:
+                    waiting[a] = [item]
+                    for s in starts[a]:
+                        st = (s, i)
+                        if st not in seen:
+                            seen.add(st)
+                            items.append(st)
+                else:
+                    wait.append(item)
+                # a nullable nonterminal may already have completed here
+                # (Aycock & Horspool, Practical Earley Parsing, 2002)
+                if skip[state] and item not in seen:
+                    seen.add(item)
+                    items.append(item)
+            elif a == code:
+                scanned.append((state + 1, origin))
+        if not scanned:
+            break
+        items = scanned
+    if i == n and n in ends.get(start * width, ()):
+        return ends, origins
+    if i < n:
+        position = tokens[i].span[0]
+        what = f"unexpected {tokens[i].display}"
+    else:
+        position = tokens[-1].span[1] if tokens else 0
+        what = "unexpected end of input"
+    expected = {cg.display[after[s]] for s, _ in items
+                if after[s] is not None and after[s] < 0}
+    raise ParseError(what, position, tuple(sorted(expected)))
+
+
 def tree_difference(got, want):
     """Where two parse trees differ, node for node, or None if they agree.
 
@@ -797,10 +886,10 @@ def step_counts(root) -> tuple:
 def effective_whitespace(leaf: ParseLeaf, tree, store):
     """The (before, after) whitespace programs format_tree runs for one leaf
     of the tree.  One token_contexts walk per call."""
-    defaults = prettyprint._Defaults(store)
+    whitespace = prettyprint._Whitespace(store)
     for candidate, opened, closed in token_contexts(tree):
         if candidate is leaf:
-            return prettyprint._programs(opened, closed, store, defaults)
+            return whitespace.around(opened, closed)
     raise ValueError("leaf does not belong to tree")
 
 

@@ -201,7 +201,7 @@ class TestHighlight:
         code, _, err = run(capsys, "highlight", JAVA5, str(src),
                            "-a", HIGHLIGHT, "--lexer", JAVA_LEX)
         assert code == 3
-        assert err == "error: offset 6: unexpected 'class' (expected IDENTIFIER)\n"
+        assert err == f"error: {src}:1:7: unexpected 'class' (expected IDENTIFIER)\n"
 
     def test_lex_error(self, capsys, tmp_path, empty_aspect):
         src = tmp_path / "bad.txt"
@@ -209,7 +209,29 @@ class TestHighlight:
         code, _, err = run(capsys, "highlight", ARITH, str(src),
                            "-a", empty_aspect, "--lexer", ARITH_LEX)
         assert code == 3
-        assert err.startswith("error: offset 2: no token matches")
+        assert err == f"error: {src}:1:3: no token matches '@\\n'\n"
+
+    @pytest.mark.parametrize("command", ["highlight", "format"])
+    def test_errors_on_line_three(self, capsys, tmp_path, command):
+        src = tmp_path / "three.java"
+        src.write_text("class A {\n\tint x ;\n  int class y ;\n}\n", encoding="utf-8")
+        code, out, err = run(capsys, command, JAVA5, str(src),
+                             "-a", PRETTY, "--lexer", JAVA_LEX)
+        assert (code, out) == (3, "")
+        assert err == f"error: {src}:3:7: unexpected 'class' (expected IDENTIFIER)\n"
+        src.write_text("class A {\n\tint x ;\n\tint #y ;\n}\n", encoding="utf-8")
+        code, out, err = run(capsys, command, JAVA5, str(src),
+                             "-a", PRETTY, "--lexer", JAVA_LEX)
+        assert (code, out) == (3, "")
+        assert err == f"error: {src}:3:6: no token matches '#y ;\\n}}\\n'\n"
+
+    def test_unexpected_end_names_last_line(self, capsys, tmp_path, empty_aspect):
+        src = tmp_path / "cut.txt"
+        src.write_text("1+\n(2*\n", encoding="utf-8")
+        code, _, err = run(capsys, "format", ARITH, str(src),
+                           "-a", empty_aspect, "--lexer", ARITH_LEX)
+        assert code == 3
+        assert err == f"error: {src}:2:4: unexpected end of input (expected '(', INT)\n"
 
     def test_missing_lexer_flag(self, capsys):
         code, _, err = run(capsys, "highlight", JAVA5, GENERICS,

@@ -7,7 +7,7 @@ from gramweave import (HighlightSpan, NotationError, PLAIN, Style,
                        assign_groups, html_page, parse_aspect, parse_grammar,
                        parse_palette, parse_input, render_ansi, render_html,
                        strip_ansi, stylesheet, tokenize, weave, Token)
-from support import fixture
+from support import fixture, java_class_text
 
 KEYWORD_PALETTE = {"keyword": Style("yellow", bold=True),
                    "classDeclaration": Style("cyan", underline=True),
@@ -75,6 +75,23 @@ class TestAssignGroups:
         _, pt = generics
         used = {s.group for s in assign_groups(pt, highlight_store)} - {PLAIN}
         assert used == {"keyword", "classDeclaration", "typeParameterDeclaration"}
+
+    def test_lookup_once_per_node(self, java5, java_lexer, highlight_store,
+                                  monkeypatch):
+        # a java_files-style body, where most tokens reach the same nodes
+        text = java_class_text(40)
+        pt = parse_input(java5, "normalClassDeclaration",
+                         tokenize(java_lexer, java5, text))
+        want = assign_groups(pt, highlight_store)
+        lookups = []
+        lookup = highlight_store.lookup
+        monkeypatch.setattr(highlight_store, "lookup", lambda node_id, name, namespace=None:
+                            lookups.append((node_id, name)) or lookup(node_id, name, namespace))
+        for _ in range(2):  # the kept groups last one call
+            lookups.clear()
+            assert assign_groups(pt, highlight_store) == want
+            assert lookups and len(lookups) == len(set(lookups))
+            assert {name for _, name in lookups} == {"group"}
 
 
 class TestRenderAnsi:

@@ -1,10 +1,11 @@
 import pytest
 
-from gramweave import (DEC_INDENT, FormatterState, INC_INDENT, IntValue,
-                       NameValue, SeqValue, StrValue, Text, Token,
-                       WhitespaceError, decode_whitespace, format_tree,
-                       leaves, parse_aspect, parse_grammar, parse_input,
-                       tokenize, weave)
+from gramweave import (DEC_INDENT, AnnotationStore, FormatterState,
+                       INC_INDENT, IntValue, NameValue, SeqValue, StrValue,
+                       Text, Token, WhitespaceError, decode_whitespace,
+                       format_tree, leaves, parse_annotation, parse_aspect,
+                       parse_grammar, parse_input, token_contexts, tokenize,
+                       weave)
 from support import effective_whitespace, fixture, reference_format
 
 FROZEN_CLASSBODY = "class A {\n    int x ;\n\n}\n"
@@ -221,3 +222,47 @@ class TestFormatterState:
         state = FormatterState(indent_unit="  ")
         state.run((Text("a\n"), INC_INDENT, Text("b")))
         assert state.finish() == "a\n  b"
+
+
+class TestReadsOncePerCall:
+    """format_tree decodes a node's before/after program the first time a
+    token reaches the node, and keeps it for the call."""
+
+    @pytest.fixture()
+    def bad_paren(self, arith):
+        # '(' carries a before program that does not decode
+        store = AnnotationStore.for_tree(arith)
+        paren = next(n.id for n in arith.by_id.values()
+                     if n.kind == "literal" and n.detail == "(")
+        store.attach(paren, parse_annotation("{ before = 3 }"))
+        return store
+
+    def test_unreached_bad_program_raises_nothing(self, arith, arith_lexer, bad_paren):
+        pt = parse_input(arith, "expr", tokenize(arith_lexer, arith, "1 + 2"))
+        assert format_tree(pt, bad_paren) == "1+2"
+
+    def test_reached_bad_program_raises(self, arith, arith_lexer, bad_paren):
+        pt = parse_input(arith, "expr", tokenize(arith_lexer, arith, "1+(2)"))
+        with pytest.raises(WhitespaceError) as exc:
+            format_tree(pt, bad_paren)
+        assert str(exc.value) == ("attribute 'before' at line 1, column 3: "
+                                  "expected a string or a sequence value")
+
+    def test_attribute_read_once_per_node_and_name(self, java5, java_lexer,
+                                                   pretty_store, monkeypatch):
+        reads = []
+        attribute = pretty_store.attribute
+        monkeypatch.setattr(pretty_store, "attribute", lambda node_id, name, namespace=None:
+                            reads.append((node_id, name)) or attribute(node_id, name, namespace))
+        pt = parse_input(java5, "normalClassDeclaration",
+                         tokenize(java_lexer, java5, fixture("inputs/generics.java")))
+        for _ in range(2):  # the kept programs last one call
+            reads.clear()
+            out = format_tree(pt, pretty_store)
+            assert len(reads) == len(set(reads))
+            # every node a token reaches is read, for both programs
+            reached = {gid for _, opened, _ in token_contexts(pt) for gid in opened}
+            assert {n for n, name in reads if name == "before"} == reached
+            assert {n for n, name in reads if name == "after"} == reached
+            assert len(reads) == 2 * len(reached) + 3  # and the three defaults
+        assert out == reference_format(pt, pretty_store)

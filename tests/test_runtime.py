@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -10,10 +12,12 @@ from gramweave import (LexError, NotationError, ParseError, ParseLeaf,
 from gramweave.grammar import literal_texts
 from gramweave.earley import _Compiled
 from support import (LanguageTooLarge, dataclass_node, dataclass_repr,
-                     enumerate_language, fixture, oracle_accepts,
-                     oracle_compile, oracle_parse, random_grammar,
-                     random_token_text, reference_chains, reference_tokenize,
-                     step_counts, token_shape, tree_difference)
+                     enumerate_language, fixture, java_class_text,
+                     nested_arith_text, oracle_accepts, oracle_compile,
+                     oracle_parse, random_grammar, random_token_text,
+                     reference_chains, reference_recognize,
+                     reference_tokenize, step_counts, token_shape,
+                     tree_difference)
 
 # (grammar, start rule, input) for every fixture input
 FIXTURE_INPUTS = [
@@ -228,6 +232,8 @@ class TestParse:
         assert exc.value.position == 2
         assert "unexpected INT" in exc.value.message
         assert set(exc.value.expected) == {"PLUS", "MINUS", "MULT", "DIV"}
+        # the library names the offset; the command line names file:line:col
+        assert str(exc.value) == "offset 2: unexpected INT (expected DIV, MINUS, MULT, PLUS)"
 
     def test_leaves_are_the_token_stream(self, java5, java_lexer):
         text = fixture("inputs/generics.java")
@@ -622,6 +628,185 @@ class TestTreeOracle:
             for shape in itertools.product([ident, b, f, gee], repeat=length):
                 compared += self.assert_same(tree, "s", tokens_for(shape))
         assert compared >= 5
+
+
+class TestRecognizerOracle:
+    """Differential test: the recognizer, over int items with one token of
+    lookahead, against reference_recognize, which predicts every production
+    over (state, origin) tuples.  Both read one set of compiled tables; the
+    chart tables and every ParseError must be equal."""
+
+    @staticmethod
+    def outcome(recognize, cg, start, tokens, codes):
+        try:
+            return recognize(cg, start, tokens, codes)
+        except ParseError as exc:
+            return "error", exc.message, exc.position, exc.expected
+
+    def assert_same(self, tree, start, tokens):
+        """True if the tokens were accepted."""
+        cg = _Compiled(tree)
+        nt = tree.rule_index[start].id
+        codes = earley._token_codes(cg, tokens)
+        got = self.outcome(earley._recognize, cg, nt, tokens, codes)
+        want = self.outcome(reference_recognize, cg, nt, tokens, codes)
+        assert got == want, (serialize_grammar(tree), start, token_shape(tokens))
+        return got[0] != "error"
+
+    @pytest.mark.parametrize("grammar, start, name", FIXTURE_INPUTS)
+    def test_fixture_inputs(self, request, grammar, start, name):
+        tree, lexer, text = fixture_input(request, grammar, name)
+        assert self.assert_same(tree, start, tokenize(lexer, tree, text))
+
+    def test_random_grammars(self):
+        rng = random.Random(20261019)
+        accepted = rejected = 0
+        kinds = set()
+        for _ in range(60):
+            tree = random_grammar(rng)
+            start = tree.root.children[0].detail
+            alphabet = sorted({("lit", t) for t in literal_texts(tree)} |
+                              {("term", n) for n in terminal_names(tree)})
+            shapes = [()]
+            if alphabet:
+                shapes += [tuple(rng.choice(alphabet)
+                                 for _ in range(rng.randint(1, 6)))
+                           for _ in range(4)]
+            try:
+                shapes += sample_shapes(rng, enumerate_language(
+                    tree, start, max_len=5, cap=2000), 6)
+            except LanguageTooLarge:
+                pass
+            cg = _Compiled(tree)
+            kinds.add((cg.cyclic, bool(cg.nullable)))
+            for shape in shapes:
+                if self.assert_same(tree, start, tokens_for(shape)):
+                    accepted += 1
+                else:
+                    rejected += 1
+        assert accepted >= 200 and rejected >= 100
+        # unit cycles (search) and none (build), nullable nonterminals or none
+        assert {cyclic for cyclic, _ in kinds} == {False, True}
+        assert {nullable for _, nullable in kinds} == {False, True}
+
+    @pytest.mark.parametrize("text", [
+        "s : ID s : ID ;",
+        "s : a b c ;\na : ID? b? ;\nb : (NUM | #empty)* ;\nc : a* ID? | #empty ;",
+        "s : (a | NUM) s? ;\na : #empty : b ;\nb : ID* a ;",
+    ])
+    def test_right_recursive_and_nullable_heavy(self, text):
+        tree = parse_grammar(text)
+        start = tree.root.children[0].detail
+        accepted = 0
+        for length in range(6):
+            for shape in itertools.product([("term", "ID"), ("term", "NUM")],
+                                           repeat=length):
+                accepted += self.assert_same(tree, start, tokens_for(shape))
+        assert accepted
+        assert self.assert_same(tree, start, tokens_for([("term", "ID")] * 60))
+
+    @pytest.mark.parametrize("grammar, start", [
+        ("java5.g", "normalClassDeclaration"), ("arith.g", "expr")])
+    def test_mutated_inputs(self, request, grammar, start):
+        """Seeded token deletions, insertions and truncations of inputs like
+        those of the java_files and arith_long benchmarks."""
+        tree = request.getfixturevalue(grammar[:-2])
+        lexer = request.getfixturevalue("java_lexer" if grammar == "java5.g"
+                                        else "arith_lexer")
+        rng = random.Random(20261020)
+        if grammar == "java5.g":
+            texts = [fixture("inputs/generics.java"), java_class_text(12)]
+        else:
+            texts = [random_arith_text(rng, 60), nested_arith_text(20)]
+        rejected = 0
+        for text in texts:
+            tokens = tokenize(lexer, tree, text)
+            assert self.assert_same(tree, start, tokens)
+            for _ in range(30):
+                cut = list(tokens)
+                k = rng.randrange(len(cut))
+                how = rng.choice(["delete", "insert", "truncate"])
+                if how == "delete":
+                    del cut[k]
+                elif how == "insert":
+                    cut.insert(k, rng.choice(tokens))
+                else:
+                    del cut[k:]
+                rejected += not self.assert_same(tree, start, cut)
+        assert rejected >= 40
+
+    @pytest.mark.parametrize("text, start", [
+        ("expr : term ((PLUS | MINUS) term)* ;\nterm : INT | '(' expr ')' ;", "expr"),
+        ("s : a 'x' | 'y' ;\na : ID? ;", "s"),
+        ("s : ID? ;", "s"),
+    ])
+    def test_empty_stream_and_unknown_token(self, text, start):
+        tree = parse_grammar(text)
+        self.assert_same(tree, start, [])
+        unknown = Token("?", "NOPE", (0, 1))  # matches no terminal: code 0
+        assert earley._token_codes(_Compiled(tree), [unknown]) == [0]
+        for shape in [(), (("term", "ID"),), (("lit", "x"),), (("term", "INT"),)]:
+            tokens = tokens_for(shape)
+            for k in range(len(tokens) + 1):
+                assert not self.assert_same(tree, start, tokens[:k] + [unknown] + tokens[k:])
+
+
+class TestCompiledOnce:
+    """parse_input compiles a grammar tree once and keeps the tables only
+    while the tree lives."""
+
+    @pytest.fixture()
+    def compiles(self, monkeypatch):
+        built = []
+
+        class Counted(earley._Compiled):
+            def __init__(self, tree):
+                built.append(id(tree))
+                super().__init__(tree)
+
+        monkeypatch.setattr(earley, "_Compiled", Counted)
+        return built
+
+    def test_one_tree_compiles_once(self, compiles, arith_lexer):
+        tree = parse_grammar(fixture("arith.g"), "arith.g")
+        first = parse_input(tree, "expr", tokenize(arith_lexer, tree, "1+2"))
+        second = parse_input(tree, "expr", tokenize(arith_lexer, tree, "(3)*4"))
+        assert compiles == [id(tree)]
+        assert [leaf.token.text for leaf in leaves(first)] == ["1", "+", "2"]
+        assert len(leaves(second)) == 5
+
+    def test_trees_get_their_own_tables(self, compiles, arith_lexer):
+        one = parse_grammar(fixture("arith.g"), "arith.g")
+        two = parse_grammar("expr : INT (PLUS INT)* ;")
+        for tree in (one, two, one, two):
+            pt = parse_input(tree, "expr", tokenize(arith_lexer, tree, "1+2"))
+            assert pt.grammar is tree and len(leaves(pt)) == 3
+        assert compiles == [id(one), id(two)]
+        assert earley._compiled[one] is not earley._compiled[two]
+        with pytest.raises(ParseError):
+            parse_input(two, "expr", tokenize(arith_lexer, two, "1+"))
+        assert compiles == [id(one), id(two)]
+
+    def test_dropped_tree_frees_its_tables(self, compiles):
+        tree = parse_grammar("s : ID+ ;")
+        parse_input(tree, "s", tokens_for([("term", "ID")] * 3))
+        tables = weakref.ref(earley._compiled[tree])
+        del tree
+        gc.collect()
+        assert tables() is None
+        assert len(compiles) == 1
+
+
+def random_arith_text(rng, terms):
+    """An arith.g expression of `terms` integers, like the arith_long chains:
+    random operators, some terms parenthesized."""
+    parts = []
+    for k in range(terms):
+        if k:
+            parts.append(rng.choice("+-*/"))
+        parts.append(f"({rng.randint(1, 9)}+{rng.randint(1, 9)})"
+                     if rng.random() < 0.2 else str(rng.randint(0, 99)))
+    return " ".join(parts)
 
 
 def terminal_names(tree):
