@@ -31,6 +31,7 @@ from .grammar import GrammarTree, parse_grammar
 from .highlight import assign_groups, html_page, parse_palette, render_ansi
 from .lexer import parse_lexer_spec, tokenize
 from .prettyprint import format_tree
+from .scan import line_col
 
 EXIT_OK = 0
 EXIT_WEAVE = 1
@@ -125,8 +126,7 @@ def _parse_source(args, tree: GrammarTree):
 
 def _location(path: str, text: str, offset: int) -> str:
     """`path:line:col` of a character offset into text, counting from 1."""
-    line = text.count("\n", 0, offset) + 1
-    col = offset - text.rfind("\n", 0, offset)
+    line, col = line_col(text, offset)
     return f"{path}:{line}:{col}"
 
 

@@ -5,9 +5,10 @@ int state tables: every symbol definition, alternative, group, iteration
 and empty node is a nonterminal named by its grammar-tree id, with a
 small set of productions whose elements remember which grammar-tree node
 they came from.  An Earley recognizer runs over the tokens, then one
-parse tree is extracted deterministically: earlier productions and
-earlier alternative branches are preferred, and nonterminal spans are
-tried shortest-first.
+parse tree is extracted deterministically: the first derivation, taking
+earlier productions and alternative branches first and nonterminal spans
+shortest first, in which no nonterminal derives a span from inside its
+own derivation of that same span.
 
 No step recurses, so grammar nesting and input size are bounded by
 memory only.  The compiled tables are built once per grammar tree and
@@ -15,14 +16,10 @@ kept while the tree lives.  The recognizer's items are ints; it indexes
 the items of each Earley set by the nonterminal they wait on, so a
 completion advances just those items, and a prediction looks one token
 ahead, so it adds only the productions that can start with that token or
-that the chart needs for an empty completion.  Extraction reads
+that the chart needs for an empty completion.  The one extractor reads
 split points from the chart instead of searching for them (Scott,
-*SPPF-style parsing from Earley recognisers*, 2008): each element takes
-the shortest end from which the rest of its production can still reach
-the end of its span.  Grammars in which a search for a nonterminal's
-span can come back to that same span keep a backtracking search, because
-there the cycle guard makes the chosen tree depend on the order of that
-search.
+*SPPF-style parsing from Earley recognisers*, 2008), and checks the
+cycle clause only where a cycle of unit links makes it matter.
 
 The resulting tree mirrors the grammar's own shape.  Rule applications
 carry the defined symbol's node id and production index; alternatives,
@@ -196,6 +193,12 @@ class _Compiled:
     production before any token: it derives nothing, or predicting it
     predicts a nullable nonterminal, whose empty completion the chart
     records whatever follows.
+
+    `loops` holds the states before an element that can take its
+    production's whole span and lies on a cycle of such unit links with
+    the production's nonterminal; `guarded` maps each nonterminal with such
+    a production to the members of its component; `cyclic` tells whether
+    there are any.
     """
 
     def __init__(self, tree: g.GrammarTree):
@@ -244,7 +247,8 @@ class _Compiled:
                 self.bit += [1 << index] * (m + 1)
                 self.tag += [tag] * (m + 1)
                 self.size += [m] * (m + 1)
-        self.display = {code: _sym_display(sym) for sym, code in self.codes.items()}
+        self.display = {code: f"'{sym[1]}'" if sym[0] == "lit" else sym[1]
+                        for sym, code in self.codes.items()}
 
         # nullable nonterminals, to fixpoint; a production's elements mostly
         # have higher ids than its nonterminal, so walk the productions last
@@ -301,33 +305,54 @@ class _Compiled:
         self.lead = lead
         self._predicted: Dict[int, list] = {}
 
-        # unit links: a production of K tries one of its nonterminals over K's
-        # whole span when the elements before it are nullable, whatever follows
-        # (a search derives each candidate before it looks at the rest); the
-        # extractor's cycle guard can fire only if these links form a cycle.
-        # A link from K to itself with a non-nullable rest (K : K ')' ...) only
-        # guards a candidate that could never complete, so it is left out.
-        links: Dict[int, set] = {lhs[s]: set() for s in firsts}
+        # unit links: a production of K may give one of its nonterminals K's
+        # whole span when the elements before it are nullable (but K : K ')'
+        # never does).  A span can be derived inside itself only around a
+        # cycle of links, so `loops` holds the elements that link back into
+        # their own nonterminal's strongly connected component.
+        unit = []  # (state, nonterminal, linked nonterminal)
+        links: Dict[int, list] = {lhs[s]: [] for s in firsts}
+        back: Dict[int, list] = {lhs[s]: [] for s in firsts}
         for s in firsts:
             elems = after[s:s + size[s]]
             for j, a in enumerate(elems):
                 if a >= 0 and (a != lhs[s] or all(b in nullable for b in elems[j + 1:])):
-                    links[lhs[s]].add(a)
+                    unit.append((s + j, lhs[s], a))
+                    links[lhs[s]].append(a)
+                    back[a].append(lhs[s])
                 if a not in nullable:
                     break
-        # peel off nonterminals without incoming links; what remains lies on
-        # a cycle
-        incoming = {nt: 0 for nt in links}
-        for targets in links.values():
-            for nt in targets:
-                incoming[nt] += 1
-        free = [nt for nt, count in incoming.items() if count == 0]
-        while free:
-            for nt in links.pop(free.pop()):
-                incoming[nt] -= 1
-                if incoming[nt] == 0:
-                    free.append(nt)
-        self.cyclic = bool(links)  # a search may try a nonterminal below itself over one span
+        # Kosaraju: the finish order of walks along the links, then the
+        # components as walks against them in reverse finish order
+        order: List[int] = []
+        seen = set()
+        for root in links:
+            stack = [] if root in seen else [(root, iter(links[root]))]
+            seen.add(root)
+            while stack:
+                for a in stack[-1][1]:
+                    if a not in seen:
+                        seen.add(a)
+                        stack.append((a, iter(links[a])))
+                        break
+                else:
+                    order.append(stack.pop()[0])
+        component: Dict[int, int] = {}
+        members: Dict[int, list] = {}
+        for root in reversed(order):
+            if root not in component:
+                component[root] = root
+                stack = [root]
+                while stack:
+                    nt = stack.pop()
+                    members.setdefault(root, []).append(nt)
+                    for a in back[nt]:
+                        if a not in component:
+                            component[a] = root
+                            stack.append(a)
+        self.loops = {s for s, nt, a in unit if component[a] == component[nt]}
+        self.guarded = {nt: members[component[nt]] for s, nt, a in unit if s in self.loops}
+        self.cyclic = bool(self.loops)
 
     def predicted(self, code: int) -> list:
         """Per nonterminal, the first states of the productions that a
@@ -358,10 +383,6 @@ class _Compiled:
 
 # ---------------------------------------------------------------------------
 # Recognition
-
-
-def _sym_display(sym: tuple) -> str:
-    return f"'{sym[1]}'" if sym[0] == "lit" else sym[1]
 
 
 def _token_codes(cg: _Compiled, tokens: List[Token]) -> List[int]:
@@ -470,30 +491,20 @@ def _recognize(cg: _Compiled, start: int, tokens: List[Token], codes: List[int])
 # ---------------------------------------------------------------------------
 # Deterministic extraction
 
-def _copy(node: ParseNode) -> ParseNode:
-    """A fresh copy of a parse subtree; leaves are immutable and stay shared."""
-    top = ParseNode(node.kind, node.gt_id, list(node.children),
-                    node.production_index, node.production_id)
-    stack = [top]
-    while stack:
-        kids = stack.pop().children
-        for j, kid in enumerate(kids):
-            if isinstance(kid, ParseNode):
-                kids[j] = kid = ParseNode(kid.kind, kid.gt_id, list(kid.children),
-                                          kid.production_index, kid.production_id)
-                stack.append(kid)
-    return top
+_NONE: frozenset = frozenset()
 
 
 class _Extractor:
-    """Picks one derivation per nonterminal span and builds its nodes.
+    """The one extractor.  It builds the first derivation, taking earlier
+    productions first and then, left to right, each element's shortest end
+    that lets the rest finish, in which no nonterminal derives a span from
+    inside its own derivation of that same span.
 
-    The preferred derivation of a span takes the first production that
-    derives it, and within it, from left to right, the shortest span of
-    each element that lets the rest of the production complete.  A span
-    that is already being derived further up would be a cyclic unit
-    derivation: it fails (a guard hit) and the search tries another shape.
-    Both extractors below keep pending derivations on an explicit stack.
+    Ends are read off the chart (`viable`).  Only a production with an
+    element in `_Compiled.loops` can break the cycle clause, so only the
+    nonterminals in `_Compiled.guarded` go through `choose`.  Every span
+    the chart completes has a derivation under the rule: cutting out a
+    repeat of a nonterminal over one span leaves one.
     """
 
     def __init__(self, cg: _Compiled, tokens, codes, ends, origins):
@@ -503,41 +514,30 @@ class _Extractor:
         self.ends = ends
         self.origins = origins
         self.width = len(tokens) + 1
-        self.memo: dict = {}  # (nt, lo, hi) -> node, or None for a failure
-        self.active: set = set()
-        self.guard_hits = 0
-
-    # -- grammars without unit cycles ---------------------------------------
 
     def build(self, start: int) -> ParseNode:
-        """Extract for a grammar without unit cycles (`_Compiled.cyclic`).
-
-        A search there fires the guard at most on a production's own
-        left-recursive candidate that could never complete (K : K ')' over
-        all of K's span), so every span the chart completes has a derivation
-        and the tree does not depend on the search's order.  Nothing
-        backtracks: each element takes the shortest end from which the rest
-        of the production can still reach the end of its span, read off the
-        chart by `viable`.
-        """
         cg, tokens, ends, width = self.cg, self.tokens, self.ends, self.width
         after, starts, bit, gt, ref, size = cg.after, cg.starts, cg.bit, cg.gt, cg.ref, cg.size
-        viable = self.viable
+        guarded, loops = cg.guarded, cg.loops
+        viable, choose = self.viable, self.choose
 
-        def open_frame(nt: int, lo: int, hi: int) -> list:
+        def open_frame(nt: int, lo: int, hi: int, banned: frozenset) -> list:
+            if nt in guarded:
+                inner = banned | {nt}
+                return [*choose(nt, lo, hi, inner), [], lo, hi, (lo, inner)]
             mask = ends[nt * width + lo][hi]
             for state in starts[nt]:
                 if mask & bit[state]:
                     m = size[state]
-                    reach = viable(state, m, lo, hi) if m > 1 else None
-                    return [state, reach, [], lo, hi]
+                    return [state, viable(state, m, lo, hi) if m > 1 else None, [], lo, hi, None]
 
         # frame: the production's first state, viable positions, the parts
-        # found so far, the position after them and the end of the span
-        stack = [open_frame(start, 0, width - 1)]
+        # found so far, the position after them, the end of the span, and for
+        # a `choose` the start of the span and what is open over all of it
+        stack = [open_frame(start, 0, width - 1, _NONE)]
         while True:
             frame = stack[-1]
-            state, reach, parts, pos, hi = frame
+            state, reach, parts, pos, hi, inner = frame
             m = size[state]
             k = len(parts)
             while k < m and after[state + k] < 0:
@@ -555,7 +555,8 @@ class _Extractor:
                     else:
                         end = min(e for e in targets if e in row)
                 frame[3] = end
-                stack.append(open_frame(a, pos, end))
+                whole = state + k in loops and pos == inner[0] and end == hi
+                stack.append(open_frame(a, pos, end, inner[1] if whole else _NONE))
                 continue
             kind, gt_id, index, prod_id = cg.tag[state]
             if kind == "step":  # nothing else holds the spine
@@ -591,112 +592,61 @@ class _Extractor:
             out[k] = reach = found
         return out
 
-    # -- grammars with unit cycles ------------------------------------------
+    def choose(self, nt: int, lo: int, hi: int, inner: frozenset) -> tuple:
+        """The first production of nt over lo..hi under the rule, as its first
+        state and viable positions pinned to its split, where `inner` holds
+        nt and the members of its component open over all of lo..hi.
 
-    def search(self, start: int) -> Optional[ParseNode]:
-        """Extract by backtracking search, for grammars with unit cycles.
-
-        Where the guard can fire, a memoised derivation may depend on the
-        spans being derived around it, so every end is tried in the order
-        of a plain depth-first search, which fixes the trees it picks.
-        Each `derive` is a generator that yields the spans it needs and
-        receives their nodes.  Memoised nodes are shared and never changed
-        afterwards; only a span of no tokens can occur twice in one tree,
-        so only those are copied.
+        Another member derives the span under the rule when it derives it
+        with none of `inner` over the whole span, as cutting out repeats
+        leaves a derivation: the members that do are a least fixpoint, so
+        nothing searches and nothing recurses.
         """
-        stack = [self.derive(start, 0, self.width - 1, guarded=False)]
-        value = None
-        while True:
-            try:
-                request = stack[-1].send(value)
-            except StopIteration as stop:
-                stack.pop()
-                if not stack:
-                    return stop.value
-                value = stop.value
-            else:
-                stack.append(self.derive(*request))
-                value = None
+        ends, width = self.ends, self.width
+        others = [c for c in self.cg.guarded[nt]
+                  if c not in inner and hi in ends.get(c * width + lo, ())]
+        derives: set = set()
+        grew = True
+        while grew:
+            grew = False
+            for c in others:
+                if c not in derives and self.split(c, lo, hi, derives):
+                    derives.add(c)
+                    grew = True
+        return self.split(nt, lo, hi, derives)
 
-    def candidates(self, a: int, pos: int, hi: int) -> list:
-        """Ends of element `a` from pos up to hi, longest first."""
-        if a < 0:
-            return [pos + 1] if pos < hi and self.codes[pos] == a else []
-        found = [e for e in self.ends.get(a * self.width + pos, ()) if e <= hi]
-        found.reverse()
-        return found
-
-    def derive(self, nt: int, lo: int, hi: int, guarded: bool = True):
-        cg, tokens, memo, active = self.cg, self.tokens, self.memo, self.active
-        after, gt = cg.after, cg.gt
-        key = (nt, lo, hi)
-        if guarded:
-            active.add(key)
-            before = self.guard_hits
-        mask = self.ends[nt * self.width + lo][hi]
-        node = None
+    def split(self, nt: int, lo: int, hi: int, derives: set) -> Optional[tuple]:
+        """The first production of nt over lo..hi in which every element of
+        `loops` that takes all of lo..hi is in derives, with its viable
+        positions pinned to the first such split, or None."""
+        cg, ends, width = self.cg, self.ends, self.width
+        after, loops = cg.after, cg.loops
+        mask = ends[nt * width + lo][hi]
         for state in cg.starts[nt]:
             if not mask & cg.bit[state]:
                 continue
             m = cg.size[state]
-            parts: list = []
-            if m:
-                # per element tried: its remaining ends and its start
-                cands = [self.candidates(after[state], lo, hi)]
-                at = [lo]
-                while cands:
-                    todo = cands[-1]
-                    if not todo:
-                        cands.pop()
-                        at.pop()
-                        if parts:
-                            parts.pop()
-                        continue
-                    end = todo.pop()
-                    k = len(parts)
-                    pos = at[-1]
-                    a = after[state + k]
-                    if a < 0:
-                        part = ParseLeaf(gt[state + k], tokens[pos])
-                    else:
-                        span = (a, pos, end)
-                        if span in memo:
-                            sub = memo[span]
-                            if sub is not None and pos == end:
-                                sub = _copy(sub)
-                        elif span in active:
-                            self.guard_hits += 1
-                            sub = None
-                        else:
-                            sub = yield span
-                        if sub is None:
-                            continue
-                        part = ParseNode("ref", gt[state + k], [sub]) \
-                            if cg.ref[state + k] else sub
-                    if k + 1 == m:
-                        if end == hi:
-                            parts.append(part)
-                            break
-                        continue
-                    parts.append(part)
-                    cands.append(self.candidates(after[state + k + 1], end, hi))
-                    at.append(end)
+            reach = self.viable(state, m, lo, hi)
+            if lo == hi:  # every element takes the whole span
+                if all(s not in loops or after[s] in derives for s in range(state, state + m)):
+                    return state, reach
+                continue
+            # the elements before the first one that takes tokens take none: a
+            # later first one comes first, and within it the shorter end
+            first = next((k for k in range(m - 1) if after[state + k] not in cg.nullable), m - 1)
+            for j in range(first, -1, -1):
+                a, targets = after[state + j], reach[j + 1]
+                if a < 0:  # a terminal ends after one token, if it matches
+                    row = (lo + 1,) if self.codes[lo] == a else ()
                 else:
-                    continue
-            kind, gt_id, index, prod_id = cg.tag[state]
-            if kind == "step":  # leave the memoised spine as it is
-                spine, step = parts
-                node = ParseNode("iter", gt_id, spine.children + [step])
-            else:
-                node = ParseNode(kind, gt_id, parts, index, prod_id)
-            break
-        if guarded:
-            active.discard(key)
-            # a failure observed while a cycle guard fired anywhere below is
-            # context-dependent and must not be cached
-            if node is not None or self.guard_hits == before:
-                memo[key] = node
-        return node
+                    row = ends.get(a * width + lo, ())
+                found = sorted(e for e in targets if e > lo and e in row) \
+                    if len(targets) < len(row) else [e for e in row if e > lo and e in targets]
+                for e in found:
+                    if e < hi or state + j not in loops or a in derives:
+                        reach[1:j + 2] = [{lo}] * j + [{e}]  # pins the ends of elements ..j
+                        return state, reach
+        return None
 
 
 # a grammar tree's compiled tables, built on its first parse; a grammar tree
@@ -715,8 +665,5 @@ def parse_input(tree: g.GrammarTree, start: str, tokens: List[Token]) -> ParseTr
     start_nt = tree.rule_index[start].id
     codes = _token_codes(cg, tokens)
     ends, origins = _recognize(cg, start_nt, tokens, codes)
-    extractor = _Extractor(cg, tokens, codes, ends, origins)
-    root = extractor.search(start_nt) if cg.cyclic else extractor.build(start_nt)
-    if root is None:
-        raise ParseError("ambiguity extraction failed", 0, ())
+    root = _Extractor(cg, tokens, codes, ends, origins).build(start_nt)
     return ParseTree(root, tree, tokens)

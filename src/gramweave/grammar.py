@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import NotationError
-from .scan import _ESCAPES, Cursor, escape_string
+from .scan import _ESCAPES, Cursor, escape_string, line_col
 
 GRAMMAR = "grammar"
 SYMBOL_DEF = "symbol_def"
@@ -171,9 +171,7 @@ class _Raw:
 
 
 def _fail(text: str, source: str, message: str, pos: int):
-    line = text.count("\n", 0, pos) + 1
-    col = pos - text.rfind("\n", 0, pos)
-    raise NotationError(message, source, line, col)
+    raise NotationError(message, source, *line_col(text, pos))
 
 
 def parse_grammar(text: str, source: str = "<grammar>") -> GrammarTree:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import LexError, NotationError
 from .grammar import GrammarTree, literal_texts
@@ -34,8 +34,9 @@ class LexerSpec:
     skip: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token; a tuple, so making one sets no attributes one by one."""
+
     text: str
     terminal: Optional[str]  # None for literal tokens
     span: Tuple[int, int]

@@ -11,7 +11,6 @@ single characters, are lexed in one pass by grammar._lex.
 
 from __future__ import annotations
 
-import bisect
 import string
 
 from .errors import NotationError
@@ -20,6 +19,11 @@ _NAME_START = set(string.ascii_letters + "_")
 _NAME_CONT = set(string.ascii_letters + string.digits + "_")
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\\": "\\\\", "'": "\\'"}
+
+
+def line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based (line, column) of a character offset into text."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def escape_string(text: str) -> str:
@@ -32,18 +36,12 @@ class Cursor:
         self.text = text
         self.pos = 0
         self.source = source
-        self._line_starts = [0]
-        for i, c in enumerate(text):
-            if c == "\n":
-                self._line_starts.append(i + 1)
 
     # -- location and errors ------------------------------------------------
 
     def location(self, pos: int | None = None) -> tuple[int, int]:
-        """1-based (line, column) of pos."""
-        p = self.pos if pos is None else pos
-        idx = bisect.bisect_right(self._line_starts, p) - 1
-        return idx + 1, p - self._line_starts[idx] + 1
+        """1-based (line, column) of pos, by default the cursor's."""
+        return line_col(self.text, self.pos if pos is None else pos)
 
     def error(self, message: str, pos: int | None = None):
         line, col = self.location(pos)

@@ -438,6 +438,56 @@ def oracle_parse(tree: G.GrammarTree, start: str, tokens):
     return None
 
 
+def rule_parse(tree: G.GrammarTree, start: str, tokens):
+    """The tree the documented rule picks for tokens, or None if rejected.
+
+    The rule: the first derivation in which no nonterminal derives a span
+    from inside its own derivation of that same span, trying earlier
+    productions first and, from left to right, each element's ends
+    shortest first.  This is that search taken literally: depth first,
+    no memo, and a nonterminal span fails while it is open on the path,
+    the root's included.  The chart of the recursive recognizer above
+    only prunes spans no derivation has.  The search is exponential, so
+    it takes at most 6 tokens.
+    """
+    if len(tokens) > 6:
+        raise ValueError("rule_parse takes at most 6 tokens")
+    cg = oracle_compile(tree)
+    completed = _oracle_recognize(cg, ("def", tree.rule_index[start].id), tokens)
+
+    def derive(key: tuple, lo: int, hi: int, path: frozenset):
+        if (key, lo, hi) in path:
+            return None
+        path = path | {(key, lo, hi)}
+        for prod in cg.by_lhs[key]:
+            if hi in completed.get((prod.pid, lo), ()):
+                parts = split(prod.rhs, 0, lo, hi, path)
+                if parts is not None:
+                    return _DTree(prod, parts)
+        return None
+
+    def split(rhs, k: int, pos: int, hi: int, path: frozenset):
+        if k == len(rhs):
+            return [] if pos == hi else None
+        sym = rhs[k].sym
+        if sym[0] != "nt":
+            if pos < hi and _oracle_matches(sym, tokens[pos]):
+                rest = split(rhs, k + 1, pos + 1, hi, path)
+                if rest is not None:
+                    return [pos] + rest
+            return None
+        for end in range(pos, hi + 1):
+            sub = derive(sym[1], pos, end, path)
+            if sub is not None:
+                rest = split(rhs, k + 1, end, hi, path)
+                if rest is not None:
+                    return [sub] + rest
+        return None
+
+    root = derive(("def", tree.rule_index[start].id), 0, len(tokens), frozenset())
+    return None if root is None else _oracle_tree(root, tokens)
+
+
 # ---------------------------------------------------------------------------
 # Reference recognizer: the chart recognizer as it was before items became
 # ints and prediction looked ahead, verbatim.  It reads the same compiled

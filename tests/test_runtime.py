@@ -16,8 +16,8 @@ from support import (LanguageTooLarge, dataclass_node, dataclass_repr,
                      nested_arith_text, oracle_accepts, oracle_compile,
                      oracle_parse, random_grammar, random_token_text,
                      reference_chains, reference_recognize,
-                     reference_tokenize, step_counts, token_shape,
-                     tree_difference)
+                     reference_tokenize, rule_parse, step_counts,
+                     token_shape, tree_difference)
 
 # (grammar, start rule, input) for every fixture input
 FIXTURE_INPUTS = [
@@ -547,10 +547,12 @@ class TestCompileOracle:
 
 
 class TestTreeOracle:
-    """Differential test: extraction against the earlier recursive parser."""
+    """Differential test: extraction against the earlier recursive parser,
+    and for grammars with unit cycles against the rule's own search."""
 
     def assert_same(self, tree, start, tokens):
-        want = oracle_parse(tree, start, tokens)
+        oracle = rule_parse if _Compiled(tree).cyclic else oracle_parse
+        want = oracle(tree, start, tokens)
         if want is None:
             with pytest.raises(ParseError):
                 parse_input(tree, start, tokens)
@@ -585,7 +587,7 @@ class TestTreeOracle:
                     compared += 1
                     cyclic.add(_Compiled(tree).cyclic)
         assert compared >= 200
-        # both extraction paths ran: with and without unit cycles
+        # both oracles ran: grammars with and without unit cycles
         assert cyclic == {False, True}
 
     @pytest.mark.parametrize("grammar, start, name", FIXTURE_INPUTS)
@@ -603,6 +605,7 @@ class TestTreeOracle:
         "s : (ID?)* NUM ;",
         "a : b ;\nb : a : ID ;",
         "s : a ID* ;\na : ID* ;",
+        "alpha : alpha : #empty ;",
     ])
     def test_nullable_and_cyclic_grammars(self, text):
         tree = parse_grammar(text)
@@ -613,16 +616,24 @@ class TestTreeOracle:
                 self.assert_same(tree, start, tokens_for(shape))
                 self.assert_same(tree, start, tokens_for(shape[:-1]))
 
+    def test_start_span_is_guarded(self):
+        # alpha may not derive the whole input inside its own derivation of
+        # it, the root's included
+        tree = parse_grammar("alpha : alpha : #empty ;")
+        assert sketch(tree, parse_input(tree, "alpha", []).root) == "alpha(empty)"
+
     def test_guard_below_a_candidate_that_cannot_complete(self):
-        # k tries a over its whole span although 'b' must follow; below it the
-        # guard on k makes x take its second production, and that choice is
-        # memoised and reused when m takes k's span plus 'f'
+        # x over (0, 3) takes its first production: k derives that span, with
+        # n taking the first ID, as a cannot derive (0, 2)
         tree = parse_grammar("s : m 'g' ; m : k : x 'f' ; k : n a 'b' ;\n"
                              "n : #empty : ID ; a : x ; x : k : y ;\n"
                              "y : ID : ID ID 'b' ;")
         assert _Compiled(tree).cyclic
         ident, b, f, gee = ("term", "ID"), ("lit", "b"), ("lit", "f"), ("lit", "g")
-        assert self.assert_same(tree, "s", tokens_for([ident, ident, b, f, gee]))
+        tokens = tokens_for([ident, ident, b, f, gee])
+        assert sketch(tree, parse_input(tree, "s", tokens).root) == \
+            "s(m(x(k(n(ID) a(x(y(ID))) 'b')) 'f') 'g')"
+        assert self.assert_same(tree, "s", tokens)
         compared = 0
         for length in range(6):
             for shape in itertools.product([ident, b, f, gee], repeat=length):
@@ -685,7 +696,7 @@ class TestRecognizerOracle:
                 else:
                     rejected += 1
         assert accepted >= 200 and rejected >= 100
-        # unit cycles (search) and none (build), nullable nonterminals or none
+        # unit cycles and none, nullable nonterminals or none
         assert {cyclic for cyclic, _ in kinds} == {False, True}
         assert {nullable for _, nullable in kinds} == {False, True}
 
@@ -812,6 +823,19 @@ def random_arith_text(rng, terms):
 def terminal_names(tree):
     return {node.detail for node in tree.by_id.values()
             if node.kind == "symbol_ref" and node.is_terminal_ref()}
+
+
+def sketch(grammar, node) -> str:
+    """A parse tree as text: rule(...) by the rule's name, other nodes by
+    kind, tokens by their display; reference nodes are left out."""
+    if isinstance(node, ParseLeaf):
+        return node.token.display
+    if node.kind == "ref":
+        return sketch(grammar, node.children[0])
+    name = grammar.by_id[node.gt_id].detail if node.kind == "rule" else node.kind
+    if not node.children:
+        return name
+    return f"{name}({' '.join(sketch(grammar, c) for c in node.children)})"
 
 
 def tokens_for(shape):

@@ -9,10 +9,12 @@ from collections import Counter
 
 import pytest
 
-from gramweave import (ParseNode, WeaveFailure, assign_groups, format_tree,
-                       leaves, parse_aspect, parse_grammar, parse_input,
-                       parse_lexer_spec, render_ansi, serialize_grammar,
-                       strip_ansi, token_contexts, tokenize, weave)
+from gramweave import (ParseLeaf, ParseNode, Token, WeaveFailure, assign_groups,
+                       format_tree, leaves, parse_aspect, parse_grammar,
+                       parse_input, parse_lexer_spec, render_ansi,
+                       serialize_grammar, strip_ansi, token_contexts, tokenize,
+                       weave)
+from gramweave.earley import _Extractor
 from gramweave.grammar import descendants
 from support import (chain_arith_text, deep_grammar_text, java_class_text,
                      nested_arith_text, nested_iteration_text, oracle_parse,
@@ -160,3 +162,30 @@ class TestGrammar:
             spans, formatted = run_backends(parsed, text, store)
             assert [s.group for s in spans] == ["name"] * 3
             assert formatted == reference_format(parsed, store)
+
+
+class TestUnitCycles:
+    def test_long_nullable_iteration(self, monkeypatch):
+        # (ID?)* can derive a span inside its own derivation of it; the tree
+        # must still come out in work linear in the tokens
+        calls = Counter()
+        for name in ("viable", "split"):
+            method = getattr(_Extractor, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(_Extractor, name, counted)
+        n = 10000
+        tree = parse_grammar("s : (ID?)* ;")
+        star = tree.rule_index["s"].children[0].children[0]
+        (opt,) = star.children
+        parsed = parse_input(tree, "s", [Token("x", "ID", (i, i + 1)) for i in range(n)])
+        # one iteration node holds one opt step per token
+        (steps,) = parsed.root.children
+        assert (steps.kind, steps.gt_id, len(steps.children)) == ("iter", star.id, n)
+        for i, step in enumerate(steps.children):
+            assert (step.kind, step.gt_id) == ("iter", opt.id)
+            (leaf,) = step.children
+            assert isinstance(leaf, ParseLeaf) and leaf.token.span == (i, i + 1)
+        assert 0 < calls["viable"] <= 2 * n and 0 < calls["split"] <= 2 * n
