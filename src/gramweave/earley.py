@@ -25,22 +25,26 @@ The resulting tree mirrors the grammar's own shape.  Rule applications
 carry the defined symbol's node id and production index; alternatives,
 groups, and iterations appear as structural nodes; every leaf records
 the literal or symbol-reference node it instantiates.  That provenance
-is what lets the backends look up woven annotations per token.
+is what lets the backends look up woven annotations per token.  The
+extractor writes the tree as flat int lists, its derivation steps in
+pre-order, and in the same pass each token's opened and closed steps,
+which both backends read; ParseNode and ParseLeaf objects are a view
+built from the steps on first use.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import grammar as g
 from .errors import NotationError, ParseError
 from .lexer import Token
 
 
-@dataclass(frozen=True)
-class ParseLeaf:
+class ParseLeaf(NamedTuple):
     gt_id: int  # the Literal or SymbolRef node this token instantiates
     token: Token
 
@@ -96,66 +100,91 @@ class ParseNode:
         return "".join(out)
 
 
+class TokenContexts(NamedTuple):
+    """What token_contexts returns: per token, the derivation steps whose
+    token range opens and closes there, as slices of flat int lists.
+
+    Token i opened the steps ``opened[open_at[i]:open_at[i + 1]]`` and
+    closed the steps ``closed[close_at[i]:close_at[i + 1]]``, the k-th of
+    which starts at token ``closed_lo[close_at[i] + k]``.
+    """
+
+    opened: List[int]
+    open_at: List[int]
+    closed: List[int]
+    closed_lo: List[int]
+    close_at: List[int]
+
+
 @dataclass
 class ParseTree:
-    root: ParseNode
+    """A parse of `tokens`, held as its derivation steps in pre-order.
+
+    Step r has the tag ``tags[r]``: a production's first state in the
+    grammar's compiled tables, or ``~state`` for the element state of a
+    rule reference or a token.  It covers the tokens from ``los[r]`` on,
+    and its subtree ends before step ``stops[r]``.  An iteration is one
+    step however many times it repeats.  ``root`` and ``leaves`` build the
+    ParseNode/ParseLeaf view of these steps on first use and keep it.
+    """
+
     grammar: g.GrammarTree
     tokens: List[Token]
-    # what token_contexts returns, kept from its first call on this tree
-    contexts: Optional[list] = field(default=None, compare=False, repr=False)
+    steps: Tuple[List[int], List[int], List[int]]  # tags, los, stops
+    # what token_contexts returns, written with the steps
+    contexts: TokenContexts = field(compare=False, repr=False)
+
+    @property
+    def root(self) -> ParseNode:
+        return self._view[0]
+
+    @cached_property
+    def _view(self) -> Tuple[ParseNode, List[ParseLeaf]]:
+        """The root node and the leaves in order, built without recursion."""
+        cg = _compiled[self.grammar]
+        tags, los, stops = self.steps
+        tokens, after, gt, tag = self.tokens, cg.after, cg.gt, cg.tag
+        out: List[ParseLeaf] = []
+        top: list = []
+        stack: list = [(top, -1)]  # (children, stop) of the open nodes
+        for r, t in enumerate(tags):
+            while stack[-1][1] == r:
+                stack.pop()
+            if t < 0 and after[~t] < 0:
+                leaf = ParseLeaf(gt[~t], tokens[los[r]])
+                stack[-1][0].append(leaf)
+                out.append(leaf)
+                continue
+            if t < 0:
+                node = ParseNode("ref", gt[~t], [])
+            else:
+                kind, gt_id, index, prod_id = tag[t]
+                node = ParseNode(kind, gt_id, [], index, prod_id)
+            stack[-1][0].append(node)
+            stack.append((node.children, stops[r]))
+        return top[0], out
 
 
 def leaves(tree: ParseTree) -> List[ParseLeaf]:
-    return [leaf for leaf, _, _ in token_contexts(tree)]
+    return list(tree._view[1])
 
 
-def token_contexts(tree: ParseTree) -> List[Tuple[ParseLeaf, list, list]]:
-    """For each leaf in order: (leaf, opened, closed).
+def token_contexts(tree: ParseTree) -> TokenContexts:
+    """For each token in order, the derivation steps whose token range
+    opens and closes at it, as flat lists (see TokenContexts).
 
-    ``opened`` holds the grammar-tree ids of the derivation steps whose
-    token range starts at this leaf, outermost first, ending with the
-    leaf's own id; ``closed`` holds ``(gt_id, lo)`` for the steps whose
-    range ends at this leaf, innermost first, starting with the leaf's
-    own, where ``lo`` is the index of the step's first token.  A rule
-    application is two steps: the defined symbol, then the chosen
-    production.  Each step that derives a token appears once in each
-    list kind; steps that derive nothing appear in neither.
+    The opened steps run outermost first and end with the token's own
+    grammar-tree id; the closed ones run innermost first, start with the
+    token's own, and each comes with the index of the step's first token.
+    A rule application is two steps: the defined symbol, then the chosen
+    production.  Each step that derives a token appears once among the
+    opened and once among the closed; steps that derive nothing appear in
+    neither.
 
-    The tree is walked once, on the first call; the result is kept on the
-    tree, so both backends share it.  Every call returns the same lists:
-    callers must not mutate them, nor the tree after the first call.
+    The parser writes these lists while it builds the tree, so both
+    backends share them: callers must not mutate them.
     """
-    if tree.contexts is None:
-        tree.contexts = _walk_contexts(tree.root)
     return tree.contexts
-
-
-def _walk_contexts(root: ParseNode) -> List[Tuple[ParseLeaf, list, list]]:
-    out: list = []
-    pending: list = []  # ids opened since the last leaf
-    count = 0
-    stack: list = [((), iter((root,)), 0)]  # (ids, children, lo)
-    while stack:
-        ids, kids, lo = stack[-1]
-        for node in kids:
-            if isinstance(node, ParseLeaf):
-                pending.append(node.gt_id)
-                out.append((node, pending, [(node.gt_id, count)]))
-                pending = []
-                count += 1
-                continue
-            ids = (node.gt_id, node.production_id) if node.kind == "rule" \
-                else (node.gt_id,)
-            pending.extend(ids)
-            stack.append((ids, iter(node.children), count))
-            break
-        else:
-            stack.pop()
-            if count > lo:
-                out[-1][2].extend((gid, lo) for gid in reversed(ids))
-            elif ids:  # derived nothing: its ids are the last ones opened
-                del pending[-len(ids):]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +210,13 @@ class _Compiled:
     or None when the dot is at the end; `gt` is the grammar-tree id of the
     element after the dot and `ref` tells whether that element is a symbol
     reference, which before a nonterminal means a rule reference; `skip`
-    tells whether it is a nullable nonterminal.  `lhs`,
-    `bit`, `tag` and `size` hold, for every state of a production, its
+    tells whether it is a nullable nonterminal.  `lhs`, `bit`, `tag`,
+    `heads` and `size` hold, for every state of a production, its
     nonterminal, its bit among that nonterminal's productions, the
     (kind, gt_id, production_index, production_id) of the parse node it
-    builds, and its number of elements.
+    builds, the ids its step opens in token contexts, and its number of
+    elements.  `spines` holds the first states of the step productions,
+    whose first element repeats the iteration.
 
     `first[nt]` is the FIRST set of a nonterminal: the terminal codes its
     derivations can start with.  `lead[s]`, by a production's first state,
@@ -210,7 +241,9 @@ class _Compiled:
         self.lhs: List[int] = []
         self.bit: List[int] = []
         self.tag: List[tuple] = []
+        self.heads: List[tuple] = []
         self.size: List[int] = []
+        self.spines = set()
         firsts: List[int] = []  # the first state of every production
         for node in g.iter_nodes(tree):
             nt, kind = node.id, node.kind
@@ -224,7 +257,7 @@ class _Compiled:
             elif kind == g.ITERATION:
                 empty = ((), ("iter", nt, None, None))
                 one = (node.children, ("iter", nt, None, None))
-                step = ((node,) + node.children, ("step", nt, None, None))
+                step = ((node,) + node.children, ("iter", nt, None, None))
                 prods = {g.STAR: [empty, step], g.PLUS: [one, step],
                          g.OPT: [empty, one]}[node.detail]
             elif kind == g.EMPTY:
@@ -246,7 +279,10 @@ class _Compiled:
                 self.lhs += [nt] * (m + 1)
                 self.bit += [1 << index] * (m + 1)
                 self.tag += [tag] * (m + 1)
+                self.heads += [(nt, tag[3]) if tag[0] == "rule" else (nt,)] * (m + 1)
                 self.size += [m] * (m + 1)
+                if elems and elems[0] is node:
+                    self.spines.add(firsts[-1])
         self.display = {code: f"'{sym[1]}'" if sym[0] == "lit" else sym[1]
                         for sym, code in self.codes.items()}
 
@@ -507,69 +543,113 @@ class _Extractor:
     repeat of a nonterminal over one span leaves one.
     """
 
-    def __init__(self, cg: _Compiled, tokens, codes, ends, origins):
+    def __init__(self, cg: _Compiled, codes, ends, origins):
         self.cg = cg
-        self.tokens = tokens
         self.codes = codes
         self.ends = ends
         self.origins = origins
-        self.width = len(tokens) + 1
+        self.width = len(codes) + 1
 
-    def build(self, start: int) -> ParseNode:
-        cg, tokens, ends, width = self.cg, self.tokens, self.ends, self.width
+    def build(self, start: int) -> Tuple[tuple, TokenContexts]:
+        """The derivation as ParseTree's step table, and its token contexts,
+        in one pass: a step's row and opened ids are written as it opens,
+        its stop and closed ids as it closes."""
+        cg, ends, width = self.cg, self.ends, self.width
         after, starts, bit, gt, ref, size = cg.after, cg.starts, cg.bit, cg.gt, cg.ref, cg.size
-        guarded, loops = cg.guarded, cg.loops
+        heads, spines, guarded, loops = cg.heads, cg.spines, cg.guarded, cg.loops
         viable, choose = self.viable, self.choose
+        tags: List[int] = []
+        los: List[int] = []
+        stops: List[int] = []
+        opened: List[int] = []
+        open_at = [0]
+        closed: List[int] = []
+        closed_lo: List[int] = []
+        close_at: List[int] = []
 
-        def open_frame(nt: int, lo: int, hi: int, banned: frozenset) -> list:
+        def open_frame(nt: int, lo: int, hi: int, banned: frozenset, at: int) -> list:
+            """The frame of nt over lo..hi, derived for the element state
+            `at` (-1 for the start symbol), with its steps written."""
             if nt in guarded:
                 inner = banned | {nt}
-                return [*choose(nt, lo, hi, inner), [], lo, hi, (lo, inner)]
-            mask = ends[nt * width + lo][hi]
-            for state in starts[nt]:
-                if mask & bit[state]:
-                    m = size[state]
-                    return [state, viable(state, m, lo, hi) if m > 1 else None, [], lo, hi, None]
+                state, reach = choose(nt, lo, hi, inner)
+                inner = (lo, inner)
+            else:
+                inner = None
+                mask = ends[nt * width + lo][hi]
+                for state in starts[nt]:
+                    if mask & bit[state]:
+                        break
+                m = size[state]
+                reach = viable(state, m, lo, hi) if m > 1 else None
+            if at in spines:  # a repeat shares the row of the outermost one
+                row = -1
+            else:
+                row = len(tags)
+                if at >= 0 and ref[at]:
+                    tags.append(~at)
+                    los.append(lo)
+                    stops.append(0)
+                    opened.append(gt[at])
+                tags.append(state)
+                los.append(lo)
+                stops.append(0)
+                opened.extend(heads[state])
+            return [state, reach, state, lo, hi, inner, row]
 
-        # frame: the production's first state, viable positions, the parts
-        # found so far, the position after them, the end of the span, and for
-        # a `choose` the start of the span and what is open over all of it
-        stack = [open_frame(start, 0, width - 1, _NONE)]
-        while True:
+        # frame: the production's first state, viable positions, the state
+        # of the next element, the position before it, the end of the span,
+        # for a `choose` the start of the span and what is open over all of
+        # it, and the frame's first row, or -1 for a repeat of an iteration
+        stack = [open_frame(start, 0, width - 1, _NONE, -1)]
+        while stack:
             frame = stack[-1]
-            state, reach, parts, pos, hi, inner = frame
-            m = size[state]
-            k = len(parts)
-            while k < m and after[state + k] < 0:
-                parts.append(ParseLeaf(gt[state + k], tokens[pos]))
+            state, reach, at, pos, hi, inner, row = frame
+            a = after[at]
+            while a is not None and a < 0:  # a token
+                gid = gt[at]
+                tags.append(~at)
+                los.append(pos)
+                stops.append(len(tags))
+                opened.append(gid)
+                open_at.append(len(opened))
+                close_at.append(len(closed))
+                closed.append(gid)
+                closed_lo.append(pos)
                 pos += 1
-                k += 1
-            if k < m:
-                a = after[state + k]
-                if k + 1 == m:
+                at += 1
+                a = after[at]
+            if a is not None:
+                if after[at + 1] is None:
                     end = hi
                 else:
-                    row, targets = ends[a * width + pos], reach[k + 1]
-                    if len(row) <= len(targets):
-                        end = next(e for e in row if e in targets)
+                    chart, targets = ends[a * width + pos], reach[at + 1 - state]
+                    if len(chart) <= len(targets):
+                        end = next(e for e in chart if e in targets)
                     else:
-                        end = min(e for e in targets if e in row)
+                        end = min(e for e in targets if e in chart)
+                frame[2] = at + 1
                 frame[3] = end
-                whole = state + k in loops and pos == inner[0] and end == hi
-                stack.append(open_frame(a, pos, end, inner[1] if whole else _NONE))
+                whole = at in loops and pos == inner[0] and end == hi
+                stack.append(open_frame(a, pos, end, inner[1] if whole else _NONE, at))
                 continue
-            kind, gt_id, index, prod_id = cg.tag[state]
-            if kind == "step":  # nothing else holds the spine
-                node = parts[0]
-                node.children.append(parts[1])
-            else:
-                node = ParseNode(kind, gt_id, parts, index, prod_id)
             stack.pop()
-            if not stack:
-                return node
-            parent = stack[-1]
-            at = parent[0] + len(parent[2])
-            parent[2].append(ParseNode("ref", gt[at], [node]) if ref[at] else node)
+            if row < 0:
+                continue
+            lo = los[row]
+            stops[row] = len(tags)
+            ids = heads[state]
+            if tags[row] < 0:  # the rule reference closes with the rule
+                stops[row + 1] = len(tags)
+                ids = (gt[~tags[row]],) + ids
+            if hi > lo:
+                for gid in reversed(ids):
+                    closed.append(gid)
+                    closed_lo.append(lo)
+            else:  # derived nothing: its ids are the last ones opened
+                del opened[-len(ids):]
+        close_at.append(len(closed))
+        return (tags, los, stops), TokenContexts(opened, open_at, closed, closed_lo, close_at)
 
     def viable(self, state: int, m: int, lo: int, hi: int) -> list:
         """Per element k > 0 of the production, the positions from which
@@ -665,5 +745,5 @@ def parse_input(tree: g.GrammarTree, start: str, tokens: List[Token]) -> ParseTr
     start_nt = tree.rule_index[start].id
     codes = _token_codes(cg, tokens)
     ends, origins = _recognize(cg, start_nt, tokens, codes)
-    root = _Extractor(cg, tokens, codes, ends, origins).build(start_nt)
-    return ParseTree(root, tree, tokens)
+    steps, contexts = _Extractor(cg, codes, ends, origins).build(start_nt)
+    return ParseTree(tree, tokens, steps, contexts)

@@ -57,19 +57,20 @@ def assign_groups(tree: ParseTree, store: AnnotationStore) -> List[HighlightSpan
     for the call.
     """
     groups = NodeMemo(lambda gid: _group_name(store.lookup(gid, "group")))
+    _opened, _open_at, closed, closed_lo, close_at = token_contexts(tree)
     spans = []
-    for index, (leaf, _opened, closed) in enumerate(token_contexts(tree)):
+    for index, token in enumerate(tree.tokens):
         group = PLAIN
         # innermost wins: the leaf itself, then enclosing steps that also
         # start at this token, so derive exactly this one
-        for gid, lo in closed:
-            if lo != index:
+        for j in range(close_at[index], close_at[index + 1]):
+            if closed_lo[j] != index:
                 break
-            name = groups[gid]
+            name = groups[closed[j]]
             if name is not None:
                 group = name
                 break
-        spans.append(HighlightSpan(leaf.token.span, group))
+        spans.append(HighlightSpan(token.span, group))
     return spans
 
 

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from .annotations import (AnnotationStore, Attribute, NameValue, NodeMemo,
                           SeqValue, StrValue)
-from .earley import ParseTree, token_contexts
+from .earley import ParseTree, TokenContexts, token_contexts
 from .errors import WhitespaceError
 
 DEFAULT_INDENT_UNIT = "    "
@@ -115,14 +115,18 @@ class _Whitespace:
         self.before = NodeMemo(lambda gid: _decode_attr(store.attribute(gid, "before")))
         self.after = NodeMemo(lambda gid: _decode_attr(store.attribute(gid, "after")))
 
-    def around(self, opened, closed) -> Tuple[WhitespaceProgram, WhitespaceProgram]:
-        """(before, after) for a token of token_contexts: the before programs
-        of the nodes whose range starts at it, outermost to innermost, and
-        the after programs of those whose range ends at it, innermost to
-        outermost; each falls back to its default if no node has one."""
-        before, after = self.before, self.after
-        return (_joined([before[gid] for gid in opened], self.default_before),
-                _joined([after[gid] for gid, _lo in closed], self.default_after))
+    def around(self, contexts: TokenContexts,
+               index: int) -> Tuple[WhitespaceProgram, WhitespaceProgram]:
+        """(before, after) for token `index` of token_contexts: the before
+        programs of the nodes whose range starts at it, outermost to
+        innermost, and the after programs of those whose range ends at it,
+        innermost to outermost; each falls back to its default if no node
+        has one."""
+        opened, open_at, closed, _closed_lo, close_at = contexts
+        before = opened[open_at[index]:open_at[index + 1]]
+        after = closed[close_at[index]:close_at[index + 1]]
+        return (_joined(map(self.before.__getitem__, before), self.default_before),
+                _joined(map(self.after.__getitem__, after), self.default_after))
 
 
 def _joined(progs, default: WhitespaceProgram) -> WhitespaceProgram:
@@ -187,13 +191,14 @@ def format_tree(tree: ParseTree, store: AnnotationStore) -> str:
     """Re-emit the parsed token stream with woven whitespace applied."""
     whitespace = _Whitespace(store)
     state = FormatterState(whitespace.indent_unit)
+    contexts = token_contexts(tree)
     pending: Optional[WhitespaceProgram] = None
-    for leaf, opened, closed in token_contexts(tree):
-        before, after = whitespace.around(opened, closed)
+    for index, token in enumerate(tree.tokens):
+        before, after = whitespace.around(contexts, index)
         if pending is not None:
             state.run(pending)
         state.run(before)
-        state.emit_text(leaf.token.text)
+        state.emit_text(token.text)
         pending = after
     if pending is not None:
         state.run(pending)

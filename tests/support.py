@@ -29,7 +29,7 @@ from gramweave import grammar as G
 from gramweave import prettyprint
 from gramweave.annotations import (IntValue, NameValue, PunctValue,
                                    RecordValue, SeqValue, StrValue)
-from gramweave.earley import ParseLeaf, ParseNode, token_contexts
+from gramweave.earley import ParseLeaf, ParseNode, leaves, token_contexts
 from gramweave.errors import LexError, ParseError
 from gramweave.lexer import Token
 from gramweave.scan import Cursor, escape_string
@@ -911,6 +911,19 @@ def reference_chains(tree) -> list:
     return out
 
 
+def context_lists(contexts) -> list:
+    """token_contexts' flat lists as one (opened, closed) pair of lists per
+    token, with closed holding (gt_id, lo) pairs."""
+    opened, open_at, closed, closed_lo, close_at = contexts
+    assert len(open_at) == len(close_at) and open_at[0] == close_at[0] == 0
+    assert (open_at[-1], close_at[-1]) == (len(opened), len(closed)) and \
+        len(closed_lo) == len(closed)
+    return [(opened[open_at[i]:open_at[i + 1]],
+             list(zip(closed[close_at[i]:close_at[i + 1]],
+                      closed_lo[close_at[i]:close_at[i + 1]])))
+            for i in range(len(open_at) - 1)]
+
+
 def step_counts(root) -> tuple:
     """(all, deriving): derivation steps in a parse tree, two per rule
     application, and those among them that derive at least one token."""
@@ -935,11 +948,10 @@ def step_counts(root) -> tuple:
 
 def effective_whitespace(leaf: ParseLeaf, tree, store):
     """The (before, after) whitespace programs format_tree runs for one leaf
-    of the tree.  One token_contexts walk per call."""
-    whitespace = prettyprint._Whitespace(store)
-    for candidate, opened, closed in token_contexts(tree):
+    of the tree."""
+    for index, candidate in enumerate(leaves(tree)):
         if candidate is leaf:
-            return whitespace.around(opened, closed)
+            return prettyprint._Whitespace(store).around(token_contexts(tree), index)
     raise ValueError("leaf does not belong to tree")
 
 

@@ -261,7 +261,7 @@ class TestReadsOncePerCall:
             out = format_tree(pt, pretty_store)
             assert len(reads) == len(set(reads))
             # every node a token reaches is read, for both programs
-            reached = {gid for _, opened, _ in token_contexts(pt) for gid in opened}
+            reached = set(token_contexts(pt).opened)
             assert {n for n, name in reads if name == "before"} == reached
             assert {n for n, name in reads if name == "after"} == reached
             assert len(reads) == 2 * len(reached) + 3  # and the three defaults

@@ -11,8 +11,8 @@ from gramweave import (LexError, NotationError, ParseError, ParseLeaf,
                        serialize_grammar, token_contexts, tokenize)
 from gramweave.grammar import literal_texts
 from gramweave.earley import _Compiled
-from support import (LanguageTooLarge, dataclass_node, dataclass_repr,
-                     enumerate_language, fixture, java_class_text,
+from support import (LanguageTooLarge, context_lists, dataclass_node,
+                     dataclass_repr, enumerate_language, fixture, java_class_text,
                      nested_arith_text, oracle_accepts, oracle_compile,
                      oracle_parse, random_grammar, random_token_text,
                      reference_chains, reference_recognize,
@@ -192,7 +192,7 @@ class TestParse:
         # the multiplication nests inside the second term
         (rep,) = reps.children
         second_term = rep.children[1]
-        inner = [l.token.text for l in leaves(ParseTreeView(second_term))]
+        inner = leaves_of(second_term)
         assert inner == ["2", "*", "3"]
 
     def test_parenthesized_production(self, arith, arith_lexer):
@@ -330,26 +330,25 @@ class TestParseNode:
             hash(node)
 
 
-class ParseTreeView:
-    """Minimal stand-in so leaves() can walk a subtree."""
-
-    contexts = None  # where token_contexts keeps its walk
-
-    def __init__(self, node):
-        self.root = node
-
-
 def leaves_of(node):
-    return [l.token.text for l in leaves(ParseTreeView(node))]
+    """The token texts under a parse node, in order."""
+    out, stack = [], [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, ParseLeaf):
+            out.append(item.token.text)
+        else:
+            stack.extend(reversed(item.children))
+    return out
 
 
 def implied_contexts(tree):
     """(opened, closed) per token, as read off the reference chains."""
     out = []
-    for i, (leaf, chain) in enumerate(reference_chains(tree)):
+    for i, (_leaf, chain) in enumerate(reference_chains(tree)):
         opened = [gid for gid, lo, _hi in chain if lo == i]
         closed = [(gid, lo) for gid, lo, hi in reversed(chain) if hi == i + 1]
-        out.append((leaf, opened, closed))
+        out.append((opened, closed))
     return out
 
 
@@ -360,7 +359,7 @@ def nested_ranges(contexts):
     and every step must be closed by the end.
     """
     open_steps, ranges = [], []
-    for i, (_leaf, opened, closed) in enumerate(contexts):
+    for i, (opened, closed) in enumerate(context_lists(contexts)):
         open_steps.extend((gid, i) for gid in opened)
         for gid, lo in closed:
             assert open_steps.pop() == (gid, lo)
@@ -369,17 +368,35 @@ def nested_ranges(contexts):
     return ranges
 
 
+def tree_shapes(root):
+    """Which of these a parse tree holds: a step that derives nothing, an
+    iteration repeated more than once, a rule reference."""
+    shapes, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ParseLeaf):
+            continue
+        if node.kind == "iter" and len(node.children) > 1:
+            shapes.add("spine")
+        if node.kind == "ref":
+            shapes.add("ref")
+        if not leaves_of(node):
+            shapes.add("empty")
+        stack.extend(node.children)
+    return shapes
+
+
 class TestTokenContexts:
     def test_chain_shape(self, arith, arith_lexer):
         tokens = tokenize(arith_lexer, arith, "1+2")
         pt = parse_input(arith, "expr", tokens)
-        contexts = token_contexts(pt)
+        contexts = context_lists(token_contexts(pt))
         assert len(contexts) == len(tokens)
         expr_def = arith.rule_index["expr"]
         # outermost step is the start rule over the whole stream
-        assert contexts[0][1][0] == expr_def.id
-        assert contexts[-1][2][-1] == (expr_def.id, 0)
-        for i, (leaf, opened, closed) in enumerate(contexts):
+        assert contexts[0][0][0] == expr_def.id
+        assert contexts[-1][1][-1] == (expr_def.id, 0)
+        for i, (leaf, (opened, closed)) in enumerate(zip(leaves(pt), contexts)):
             assert leaf.token is tokens[i]
             # the leaf itself is the innermost step, over its own token
             assert opened[-1] == leaf.gt_id
@@ -387,12 +404,12 @@ class TestTokenContexts:
             # enclosing steps close innermost first, so their starts descend
             los = [lo for _, lo in closed]
             assert los == sorted(los, reverse=True)
-        ranges = nested_ranges(contexts)
+        ranges = nested_ranges(token_contexts(pt))
         assert (expr_def.id, 0, len(tokens)) in ranges
 
     def test_rule_links_pair_symbol_and_production(self, arith, arith_lexer):
         pt = parse_input(arith, "expr", tokenize(arith_lexer, arith, "1"))
-        [(_, opened, closed)] = token_contexts(pt)
+        [(opened, closed)] = context_lists(token_contexts(pt))
         expr_def = arith.rule_index["expr"]
         production = expr_def.children[0].id
         at = opened.index(expr_def.id)
@@ -401,19 +418,28 @@ class TestTokenContexts:
         at = ids.index(expr_def.id)
         assert ids[at - 1] == production
 
+    def test_empty_input(self):
+        tree = parse_grammar("s : ID* ;")
+        pt = parse_input(tree, "s", [])
+        assert token_contexts(pt) == ([], [0], [], [], [0])
+        assert sketch(tree, pt.root) == "s(iter)" and leaves(pt) == []
+
+    def assert_matches_reference(self, tree, pt):
+        contexts = token_contexts(pt)
+        assert context_lists(contexts) == implied_contexts(pt), serialize_grammar(tree)
+        assert len(nested_ranges(contexts)) == step_counts(pt.root)[1]
+
     @pytest.mark.parametrize("grammar, start, name", FIXTURE_INPUTS)
     def test_fixture_inputs_match_reference_chains(self, request, grammar,
                                                    start, name):
         tree, lexer, text = fixture_input(request, grammar, name)
         tokens = tokenize(lexer, tree, text)
-        pt = parse_input(tree, start, tokens)
-        contexts = token_contexts(pt)
-        assert contexts == implied_contexts(pt)
-        assert len(nested_ranges(contexts)) == step_counts(pt.root)[1]
+        self.assert_matches_reference(tree, parse_input(tree, start, tokens))
 
     def test_random_sentences_match_reference_chains(self):
         rng = random.Random(20261018)
-        compared = empty_steps = 0
+        compared = 0
+        shapes, cyclic = set(), set()
         for _ in range(60):
             tree = random_grammar(rng)
             start = tree.root.children[0].detail
@@ -426,41 +452,62 @@ class TestTokenContexts:
                     pt = parse_input(tree, start, tokens_for(shape))
                 except ParseError:
                     continue
-                contexts = token_contexts(pt)
-                assert contexts == implied_contexts(pt), serialize_grammar(tree)
-                every, deriving = step_counts(pt.root)
-                assert len(nested_ranges(contexts)) == deriving
+                self.assert_matches_reference(tree, pt)
                 compared += 1
-                empty_steps += every > deriving
+                shapes |= tree_shapes(pt.root)
+                cyclic.add(_Compiled(tree).cyclic)
         assert compared >= 200
-        # some trees hold steps that derive nothing, which appear nowhere
-        assert empty_steps > 0
+        # steps that derive nothing (which appear nowhere), repeats that
+        # share one iteration step, rule references, and unit cycles
+        assert shapes == {"empty", "spine", "ref"} and cyclic == {False, True}
 
-    def test_walked_once_and_shared(self, java5, java_lexer, highlight_store,
-                                    pretty_store, monkeypatch):
-        walks = []
-        walk = earley._walk_contexts
-        monkeypatch.setattr(earley, "_walk_contexts",
-                            lambda root: walks.append(root) or walk(root))
+    @pytest.mark.parametrize("text", [
+        "s : (ID?)* ;",
+        "s : (ID?)* NUM ;",
+        "a : b ;\nb : a : ID ;",
+        "s : a ID* ;\na : ID* ;",
+        "s : (a | NUM)+ ;\na : #empty : b ;\nb : ID* a ;",
+    ])
+    def test_cyclic_and_nullable_grammars_match_reference_chains(self, text):
+        tree = parse_grammar(text)
+        start = tree.root.children[0].detail
+        compared = 0
+        for length in range(6):
+            for shape in itertools.product([("term", "ID"), ("term", "NUM")],
+                                           repeat=length):
+                try:
+                    pt = parse_input(tree, start, tokens_for(shape))
+                except ParseError:
+                    continue
+                self.assert_matches_reference(tree, pt)
+                compared += 1
+        assert compared
+
+    def test_written_once_and_shared(self, java5, java_lexer, highlight_store,
+                                     pretty_store):
         pt = parse_input(java5, "normalClassDeclaration",
                          tokenize(java_lexer, java5, fixture("inputs/generics.java")))
+        contexts = token_contexts(pt)
         assign_groups(pt, highlight_store)
         format_tree(pt, pretty_store)
-        assert walks == [pt.root]
-        assert token_contexts(pt) is token_contexts(pt)
-        assert [leaf for leaf, _, _ in token_contexts(pt)] == leaves(pt)
-        assert walks == [pt.root]
+        assert token_contexts(pt) is contexts is pt.contexts
+        # neither backend builds the node view; it is built once, on use
+        assert "_view" not in vars(pt)
+        root = pt.root
+        assert pt.root is root and leaves(pt) == leaves(pt)
+        assert [leaf.token for leaf in leaves(pt)] == pt.tokens
 
-    def test_stored_walk_is_not_compared_or_shown(self, arith, arith_lexer):
+    def test_contexts_and_view_are_not_compared_or_shown(self, arith, arith_lexer):
         tokens = tokenize(arith_lexer, arith, "1+2*3")
         a = parse_input(arith, "expr", tokens)
         b = parse_input(arith, "expr", tokens)
         text = repr(b)
-        token_contexts(a)
-        assert a.contexts is not None and b.contexts is None
+        assert a.root == b.root
+        b.contexts = None
         assert a == b
         assert repr(a) == repr(b) == text
-        assert "contexts" not in text
+        assert "contexts" not in text and "ParseNode" not in text
+        assert a != parse_input(arith, "expr", tokenize(arith_lexer, arith, "1+2/3"))
 
 
 class TestRecognitionOracle:
