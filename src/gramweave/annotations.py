@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 from .errors import ConflictError, NotationError
 from .grammar import GrammarTree
-from .scan import Cursor
+from .scan import Lexed
 
 # Single-character values allowed inside {{ }} sequences.
 PUNCTUATION = set("`~!@#$%()-+=|\\[];:,./?<>")
@@ -98,6 +98,10 @@ class PunctValue:
 
 Value = Union[IntValue, StrValue, NameValue, RecordValue, SeqValue, PunctValue]
 
+# the values one lexeme spells, by its kind; a '{' starts any other value
+_SCALARS = {"int": IntValue, "str": StrValue, "name": NameValue}
+_VALUE_START = {"{", *_SCALARS}
+
 
 class Provenance(NamedTuple):
     """Where an attribute came from: aspect index, rule index within it.
@@ -155,81 +159,131 @@ class Annotation:
 
 def parse_annotation(text: str, source: str = "<string>") -> Annotation:
     """Parse a complete annotation; the whole text must be consumed."""
-    cur = Cursor(text, source)
-    ann = annotation_at(cur)
-    cur.skip_ws()
-    if not cur.eof():
-        raise cur.error("unexpected text after annotation")
+    src = Lexed(text, source)
+    ann, i = annotation_at(src, 0)
+    kind, _, start, _ = src.lexemes[i]
+    if kind != "eof":
+        src.fail("unexpected text after annotation", start)
     return ann
 
 
-def annotation_at(cur: Cursor) -> Annotation:
-    """Parse an annotation starting at the cursor: braces form or '.attr'."""
-    if cur.accept("."):
-        return Annotation((_attribute(cur),))
-    cur.expect("{", "annotation")
-    attrs = []
-    if not cur.accept("}"):
-        attrs.append(_attribute(cur))
-        while cur.accept(";"):
-            # `;` may trail or repeat; an attribute after it is optional
-            if cur.peek_char() in ("}", ";"):
-                continue
-            attrs.append(_attribute(cur))
-        cur.expect("}", "annotation")
-    return Annotation(tuple(attrs))
+class _Open(list):
+    """The attributes of an annotation still being read; head is the name,
+    namespace and location of the one whose value is being read."""
+
+    __slots__ = ("dot", "head")
 
 
-def _attribute(cur: Cursor) -> Attribute:
-    loc = cur.location()
-    namespace = None
-    name = cur.accept_name()
-    if name is None:
-        raise cur.error("expected attribute name")
-    if cur.accept(":"):
-        namespace = name
-        cur.skip_ws()
-        loc = cur.location()
-        name = cur.expect_name("attribute name")
-    value = None
-    if cur.accept("="):
-        value = _value(cur)
-    return Attribute(name, namespace, value, loc=loc)
+def annotation_at(src: Lexed, i: int) -> tuple[Annotation, int]:
+    """Parse the annotation at lexeme i, braces form or '.attr'; return it
+    and the index of the lexeme after it.
 
-
-def _value(cur: Cursor) -> Value:
-    if cur.accept("{{"):
-        return _sequence(cur)
-    c = cur.peek_char()
-    if c == "{" or c == ".":
-        return RecordValue(annotation_at(cur))
-    n = cur.accept_int()
-    if n is not None:
-        return IntValue(n)
-    s = cur.accept_string()
-    if s is not None:
-        return StrValue(s)
-    name = cur.accept_name()
-    if name is not None:
-        return NameValue(name)
-    raise cur.error("expected a value")
-
-
-def _sequence(cur: Cursor) -> SeqValue:
-    items = []
+    Records and '{{ }}' sequences nest: frames holds the annotations
+    (_Open) and sequences (plain lists of items) still open, innermost
+    last, so depth costs no Python recursion.  state names what may start
+    at lexeme i: "open" an annotation, "attr" an attribute, "sep" '}' or
+    an attribute (after '{' or ';'), "after" ';' or '}' (after an
+    attribute), "value" a value, "item" a sequence item or '}}'.
+    """
+    lx, fail = src.lexemes, src.fail
+    frames = []
+    state = "open"
     while True:
-        if cur.accept("}}"):
-            return SeqValue(tuple(items))
-        c = cur.peek_char()
-        if not c:
-            raise cur.error("unterminated '{{' sequence")
-        if c.isdigit() or c == "'" or c == "{" or c.isalpha() or c == "_":
-            items.append(_value(cur))
-        elif c in PUNCTUATION:
-            cur.accept(c)
-            items.append(PunctValue(c))
+        kind, value, start, end = lx[i]
+        if state == "open":
+            frame = _Open()
+            frame.dot = kind == "."
+            if frame.dot and end - start > 1:
+                fail("expected attribute name", start + 1)
+            if not frame.dot and kind != "{":
+                fail("expected '{' in annotation", start)
+            frames.append(frame)
+            i += 1
+            state = "attr" if frame.dot else "sep"
+            continue
+        if state == "sep" and kind == ";" and lx[i - 1][0] == ";":
+            i += 1  # ';' may trail or repeat
+            continue
+        if (state == "sep" or state == "after") and kind == "}":
+            i += 1
+            try:
+                ann = Annotation(tuple(frames.pop()))
+            except NotationError as exc:  # a duplicate attribute
+                exc.source = src.source
+                raise
+            if not frames:
+                return ann, i
+            value = RecordValue(ann)
+        elif state == "after":
+            if kind != ";":
+                fail("expected '}' in annotation", start)
+            i += 1
+            state = "sep"
+            continue
+        elif state == "attr" or state == "sep":
+            namespace, loc = None, start
+            if kind == "name" and lx[i + 1][0] == ":":
+                namespace = value
+                i += 2
+                kind, value, loc, _ = lx[i]
+            if kind != "name":
+                fail("expected attribute name", loc)
+            frames[-1].head = (value, namespace, src.loc(loc))
+            i += 1
+            if lx[i][0] == "=":
+                i += 1
+                state = "value"
+                continue
+            value = None  # a flag
+        elif state == "item":
+            if kind == "}" and lx[i + 1][0] == "}" and lx[i + 1][2] == end:
+                i += 2
+                value = SeqValue(tuple(frames.pop()))
+            elif kind == "eof":
+                fail("unterminated '{{' sequence", start)
+            elif kind in PUNCTUATION:  # a dot run is a dot per character
+                frames[-1].extend([PunctValue(kind)] * (end - start))
+                i += 1
+                continue
+            elif kind == "#lex" or kind == "#empty":  # '#', then a name
+                frames[-1] += (PunctValue("#"), NameValue(kind[1:]))
+                i += 1
+                continue
+            elif kind in _VALUE_START or kind == "bad" and (
+                    value == "'" or value.isdigit() or value.isalpha()):
+                state = "value"
+                continue
+            else:
+                fail(f"unexpected character {value!r} in sequence", start)
+        elif kind == "{" and lx[i + 1][0] == "{" and lx[i + 1][2] == end:
+            frames.append([])
+            i += 2
+            state = "item"
+            continue
+        elif kind == "{" or kind == ".":
+            state = "open"
+            continue
+        elif kind in _SCALARS:
+            value, i = _SCALARS[kind](value), i + 1
+        elif kind == "bad" and value == "'":
+            src.bad_string(start)
         else:
-            raise cur.error(f"unexpected character {c!r} in sequence")
+            fail("expected a value", start)
+        while True:  # hand the finished value to the innermost open frame
+            top = frames[-1]
+            if type(top) is list:
+                top.append(value)
+                state = "item"
+                break
+            name, namespace, loc = top.head
+            top.append(Attribute(name, namespace, value, loc=loc))
+            if not top.dot:
+                state = "after"
+                break
+            ann = Annotation(tuple(frames.pop()))
+            if not frames:
+                return ann, i
+            value = RecordValue(ann)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ from typing import Optional, Tuple
 
 from . import patterns as P
 from .annotations import Annotation, AnnotationStore, Provenance, annotation_at
-from .errors import ConflictError, NotationError, WeaveFailure
+from .errors import ConflictError, WeaveFailure
 from .grammar import GrammarTree
-from .scan import Cursor
+from .scan import Lexed
 
 
 @dataclass(frozen=True)
@@ -123,121 +123,117 @@ class WeaveError:
 
 
 def parse_aspect(text: str, source: str = "<aspect>") -> Aspect:
-    cur = Cursor(text, source)
-    grammar_annotation = None
-    if cur.peek_char() in ("{", "."):
-        grammar_annotation = annotation_at(cur)
+    src = Lexed(text, source)
+    lx = src.lexemes
+    grammar_annotation, i = None, 0
+    if lx[0][0] in ("{", "."):
+        grammar_annotation, i = annotation_at(src, 0)
     rules = []
-    while True:
-        cur.skip_ws()
-        if cur.eof():
-            break
-        rules.append(_annotation_rule(cur))
+    while lx[i][0] != "eof":
+        rule, i = _annotation_rule(src, i)
+        rules.append(rule)
     return Aspect(grammar_annotation, tuple(rules))
 
 
-def _multiplicity(cur: Cursor) -> Optional[Multiplicity]:
-    if not cur.accept("["):
-        return None
-    pos = cur.mark()
-    lo = _int_or_inf(cur)
-    if cur.accept(".."):
-        hi = _int_or_inf(cur)
+def _multiplicity(src: Lexed, i: int) -> tuple[Multiplicity, int]:
+    lx = src.lexemes
+    if lx[i][0] != "[":
+        return DEFAULT_MULTIPLICITY, i
+    pos = lx[i][3]
+    lo, i = _int_or_inf(src, i + 1)
+    kind, _, start, end = lx[i]
+    if kind == "." and end - start >= 2:
+        if end - start > 2:  # '..' then a dot where a bound belongs
+            src.fail("expected an integer or '*'", start + 2)
+        hi, i = _int_or_inf(src, i + 1)
         if lo is None:
-            raise cur.error("multiplicity lower bound must be an integer", pos)
+            src.fail("multiplicity lower bound must be an integer", pos)
     elif lo is None:
         lo, hi = 0, None  # bare [*]
     else:
         hi = lo  # [n] means exactly n
-    cur.expect("]", "multiplicity")
+    if lx[i][0] != "]":
+        src.fail("expected ']' in multiplicity", lx[i][2])
     try:
-        return Multiplicity(lo, hi)
+        return Multiplicity(lo, hi), i + 1
     except ValueError as exc:
-        raise cur.error(str(exc), pos)
+        src.fail(str(exc), pos)
 
 
-def _int_or_inf(cur: Cursor) -> Optional[int]:
+def _int_or_inf(src: Lexed, i: int) -> tuple[Optional[int], int]:
     # '*' reads as "no bound" and is returned as None
-    if cur.accept("*"):
-        return None
-    n = cur.accept_int()
-    if n is None:
-        raise cur.error("expected an integer or '*'")
-    return n
+    kind, value, start, _ = src.lexemes[i]
+    if kind == "*":
+        return None, i + 1
+    if kind != "int":
+        src.fail("expected an integer or '*'", start)
+    return value, i + 1
 
 
-def _annotation_rule(cur: Cursor) -> AnnotationRule:
-    cur.skip_ws()
-    loc = cur.location()
-    mult = _multiplicity(cur) or DEFAULT_MULTIPLICITY
-    pattern = P.rule_pattern_at(cur)
-    subrules = _subrules(cur, dict(pattern.var_kinds))
-    if subrules:
-        cur.accept(";")
-    elif not cur.accept(";"):
-        cur.skip_ws()
-        if not cur.eof():
-            raise cur.error("expected advice or ';' after rule pattern")
-    return AnnotationRule(mult, pattern, subrules, loc)
+def _annotation_rule(src: Lexed, i: int) -> tuple[AnnotationRule, int]:
+    """Parse one rule and its advice from lexeme i.
 
-
-def _subrules(cur: Cursor, kinds: dict) -> Tuple:
-    items = []
-    while True:
-        if cur.accept("@"):
-            items.append(_subpattern(cur, kinds))
-            continue
-        var = _at_variable_annotation(cur)
-        if var is None:
-            return tuple(items)
-        ann = annotation_at(cur)
-        cur.expect(";", "variable annotation")
-        if var not in kinds:
-            raise cur.error(f"variable '${var}' is not defined by an enclosing pattern")
-        items.append(VariableAnnotation(var, ann))
-
-
-def _at_variable_annotation(cur: Cursor) -> Optional[str]:
-    """Accept '$NAME' if an annotation follows; else restore and return None.
-
-    '$NAME=' starts the next rule's pattern, not advice, so only '{' and
-    a '.' shorthand (never the '..' gap) count as annotation starts.
+    Subpatterns nest to any depth: open holds, for each enclosing
+    subpattern that has nested advice, the advice items read around it,
+    their variable scope, and what the subpattern needs once its own
+    items are complete, so nesting costs no Python recursion.
     """
-    mark = cur.mark()
-    if not cur.accept("$"):
-        return None
-    name = cur.accept_name()
-    if name is not None:
-        c = cur.peek_char()
-        if c == "{" or (c == "." and cur.dot_run() != 2):
-            return name
-    cur.restore(mark)
-    return None
+    lx = src.lexemes
+    rule_loc = src.loc(lx[i][2])
+    rule_mult, i = _multiplicity(src, i)
+    pattern, i = P.rule_pattern_at(src, i)
+    open_ = []
+    items, kinds = [], dict(pattern.var_kinds)
+    while True:
+        kind, _, start, _ = lx[i]
+        if kind == "@":
+            mult, i = _multiplicity(src, i + 1)
+            first = i
+            sub, i = P.subpattern_at(src, i)
+            # as in rule_pattern_at, an alternative's text runs to the next lexeme
+            stop = lx[i - 1][3] if type(sub) is P.ProdsWildcard else lx[i][2]
+            text = src.text[lx[first][2]:stop].strip()
+            sub_kinds = {**kinds, **P.collect_vars_at(sub, kinds, src, first)}
+            if lx[i][0] != ":":
+                src.fail("expected ':' in subpattern", lx[i][2])
+            head = (mult, sub, text, sub_kinds, src.loc(lx[first][2]))
+            if lx[i + 1][0] in ("{", "."):
+                ann, i = annotation_at(src, i + 1)
+                if lx[i][0] != ";":
+                    src.fail("expected ';' in subpattern advice", lx[i][2])
+                items.append(_subpattern(head, ann, ()))
+                i += 1
+            else:
+                open_.append((items, kinds, head))
+                items, kinds, i = [], sub_kinds, i + 1
+            continue
+        var = P.advice_var(lx, i)
+        if var is not None:
+            ann, i = annotation_at(src, i + 2)
+            if lx[i][0] != ";":
+                src.fail("expected ';' in variable annotation", lx[i][2])
+            i += 1
+            if var not in kinds:
+                src.fail(f"variable '${var}' is not defined by an enclosing pattern",
+                         lx[i - 1][3])
+            items.append(VariableAnnotation(var, ann))
+            continue
+        # this level's advice ends, at an optional ';'
+        if kind == ";":
+            i += 1
+        elif not items and kind != "eof":
+            src.fail("expected annotation, advice, or ';' in subpattern" if open_
+                     else "expected advice or ';' after rule pattern", start)
+        if not open_:
+            return AnnotationRule(rule_mult, pattern, tuple(items), rule_loc), i
+        nested = tuple(items)
+        items, kinds, head = open_.pop()
+        items.append(_subpattern(head, None, nested))
 
 
-def _subpattern(cur: Cursor, enclosing: dict) -> Subpattern:
-    mult = _multiplicity(cur) or DEFAULT_MULTIPLICITY
-    cur.skip_ws()
-    start = cur.pos
-    loc = cur.location(start)
-    pattern = P.subpattern_at(cur)
-    text = cur.text[start:cur.pos].strip()
-    new_vars = P.collect_vars(pattern, defined=enclosing)
-    kinds = {**enclosing, **new_vars}
-    cur.expect(":", "subpattern")
-    c = cur.peek_char()
-    if c == "{" or c == ".":
-        ann = annotation_at(cur)
-        cur.expect(";", "subpattern advice")
-        return Subpattern(mult, pattern, text, ann, (), kinds, loc)
-    nested = _subrules(cur, dict(kinds))
-    if nested:
-        cur.accept(";")
-    elif not cur.accept(";"):
-        cur.skip_ws()
-        if not cur.eof():
-            raise cur.error("expected annotation, advice, or ';' in subpattern")
-    return Subpattern(mult, pattern, text, None, nested, kinds, loc)
+def _subpattern(head, annotation, nested) -> Subpattern:
+    mult, pattern, text, kinds, loc = head
+    return Subpattern(mult, pattern, text, annotation, nested, kinds, loc)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +289,23 @@ def _spans(tree: GrammarTree, matches) -> Tuple:
 
 
 def _apply_subrules(subrules, scope, env, pending, errors, tree, ai, ri):
+    """Buffer the advice of subrules within one match, depth first: each
+    match of a subpattern gets its annotation, then its nested advice,
+    before the next match.  work holds what is still to do, last first, so
+    subpatterns nest to any depth without Python recursion."""
     prov = Provenance(ai, ri)
-    for item in subrules:
+    work = [(item, scope, env) for item in reversed(subrules)]
+    while work:
+        entry = work.pop()
+        if len(entry) == 2:  # one match of a subpattern
+            item, m = entry
+            if item.annotation is not None:
+                _buffer(pending, m.node, item.annotation, prov)
+            if item.subrules:
+                inner, inner_env = tree.by_id[m.node], _env(tree, m)
+                work.extend((sub, inner, inner_env) for sub in reversed(item.subrules))
+            continue
+        item, scope, env = entry
         if isinstance(item, VariableAnnotation):
             for node in sorted(env.get(item.var, ()), key=lambda n: n.id):
                 _buffer(pending, node.id, item.annotation, prov)
@@ -304,12 +315,7 @@ def _apply_subrules(subrules, scope, env, pending, errors, tree, ai, ri):
             errors.append(WeaveError(ai, ri, item.text, item.multiplicity,
                                      len(matches), _spans(tree, matches), item.loc))
             continue
-        for m in matches:
-            if item.annotation is not None:
-                _buffer(pending, m.node, item.annotation, prov)
-            if item.subrules:
-                _apply_subrules(item.subrules, tree.by_id[m.node], _env(tree, m),
-                                pending, errors, tree, ai, ri)
+        work.extend((item, m) for m in reversed(matches))
 
 
 def _buffer(pending, node_id, annotation, prov):

@@ -28,11 +28,10 @@ assignment is stable across runs for identical input text.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .errors import NotationError
-from .scan import _ESCAPES, Cursor, escape_string, line_col
+from .scan import Lexed, escape_string
 
 GRAMMAR = "grammar"
 SYMBOL_DEF = "symbol_def"
@@ -51,7 +50,7 @@ STAR = "star"
 PLUS = "plus"
 OPT = "opt"
 
-_SUFFIX_KIND = {"*": STAR, "+": PLUS, "?": OPT}
+SUFFIX_KIND = {"*": STAR, "+": PLUS, "?": OPT}
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -116,46 +115,18 @@ def literal_texts(tree: GrammarTree) -> list[str]:
 
 # -- parsing -----------------------------------------------------------------
 
-# One pass over the text yields every lexeme; whitespace and comments match
-# no group.  A lexeme's kind is its group's name, or the character itself
-# for punctuation.  A character no lexeme starts with ends the list: the
-# parser never consumes it, so it stops there with an error.
-_LEXEME = re.compile(r"""
-    [ \t\r\n]+ | //[^\n]*
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | '(?P<str>(?:[^'\\\n]|\\[nt\\'])*)'
-  | (?P<empty>\#empty)(?![A-Za-z0-9_])
-  | (?P<punct>[():;|*+?])
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
-_ESCAPE = re.compile(r"\\(.)")
-# "bad string" is a quote that opens no well-formed string, "bad atom" other
-# text the character-level rules read as the start of an atom
-_ATOM_START = {"name", "str", "empty", "(", "bad string", "bad atom"}
+# lexemes that start an atom; so do some "bad" and "#" ones (_starts_atom)
+_ATOM_START = {"name", "str", "#empty", "("}
 
 
-def _lex(text: str) -> list[tuple]:
-    """(kind, text, start, end) per lexeme, then ("eof", ...) if all is well."""
-    out = []
-    for m in _LEXEME.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        value = m.group(kind)
-        if kind == "punct":
-            kind = value
-        elif kind == "str" and "\\" in value:
-            value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], value)
-        elif kind == "bad":
-            if value == "'":
-                kind = "bad string"
-            elif value.isalpha() or text.startswith("#empty", m.start()):
-                kind = "bad atom"
-            out.append((kind, value, *m.span()))
-            return out
-        out.append((kind, value, *m.span()))
-    out.append(("eof", None, len(text), len(text)))
-    return out
+def _starts_atom(lexeme: tuple, text: str) -> bool:
+    """Whether a bad or '#' lexeme starts an atom, which then fails with the
+    error that names it: a quote, a letter outside ASCII, or '#empty' run
+    into a name."""
+    kind, value, start, _ = lexeme
+    if kind == "bad":
+        return value == "'" or value.isalpha()
+    return kind == "#" and text.startswith("#empty", start)
 
 
 class _Raw:
@@ -170,39 +141,36 @@ class _Raw:
         self.span = span
 
 
-def _fail(text: str, source: str, message: str, pos: int):
-    raise NotationError(message, source, *line_col(text, pos))
-
-
 def parse_grammar(text: str, source: str = "<grammar>") -> GrammarTree:
-    lexemes = _lex(text)
+    src = Lexed(text, source)
+    lexemes, fail = src.lexemes, src.fail
     rules: list[_Raw] = []
     names: dict[str, int] = {}
     i = 0
     while lexemes[i][0] != "eof":
         kind, name, start, _ = lexemes[i]
         if kind != "name":
-            _fail(text, source, "expected rule name", start)
+            fail("expected rule name", start)
         if name in names:
-            _fail(text, source, f"duplicate rule '{name}'", start)
+            fail(f"duplicate rule '{name}'", start)
         names[name] = start
         if name[0].isupper():
-            _fail(text, source, f"terminal name '{name}' cannot be defined as a rule", start)
+            fail(f"terminal name '{name}' cannot be defined as a rule", start)
         i += 1
         if lexemes[i][0] != ":":
-            _fail(text, source, f"expected ':' in rule '{name}'", lexemes[i][2])
+            fail(f"expected ':' in rule '{name}'", lexemes[i][2])
         prods = []
         while lexemes[i][0] == ":":
-            prod, i = _production(lexemes, i + 1, text, source)
+            prod, i = _production(src, i + 1)
             prods.append(prod)
         if lexemes[i][0] != ";":
-            _fail(text, source, f"expected ';' in rule '{name}'", lexemes[i][2])
+            fail(f"expected ';' in rule '{name}'", lexemes[i][2])
         rules.append(_Raw(SYMBOL_DEF, name, prods, (start, lexemes[i][3])))
         i += 1
-    return _freeze(_Raw(GRAMMAR, None, rules, (0, len(text))), names, text, source)
+    return _freeze(_Raw(GRAMMAR, None, rules, (0, len(text))), names, src)
 
 
-def _production(lexemes: list, i: int, text: str, source: str) -> tuple[_Raw, int]:
+def _production(src: Lexed, i: int) -> tuple[_Raw, int]:
     """Parse the production body that starts at lexeme i; return it and the
     index of the lexeme after it.
 
@@ -211,6 +179,7 @@ def _production(lexemes: list, i: int, text: str, source: str) -> tuple[_Raw, in
     docstring: a group leaves no node of its own (its content takes the
     group's span), and one-element sequences and alternatives collapse.
     """
+    lexemes, fail = src.lexemes, src.fail
     outer = []  # enclosing groups: (members, items, start of their '(')
     members, items, opened = [], [], None
     while True:
@@ -224,25 +193,23 @@ def _production(lexemes: list, i: int, text: str, source: str) -> tuple[_Raw, in
             atom = _Raw(SYMBOL_REF, value, (), (start, end))
         elif kind == "str":
             if not value:
-                _fail(text, source, "empty literal", start)
+                fail("empty literal", start)
             atom = _Raw(LITERAL, value, (), (start, end))
-        elif kind == "empty":
+        elif kind == "#empty":
             atom = _Raw(EMPTY, None, (), (start, end))
-        elif kind == "bad string":
-            cur = Cursor(text, source)
-            cur.pos = start
-            cur.accept_string()  # raises the error that names the fault
+        elif kind == "bad" and value == "'":
+            src.bad_string(start)
         else:
-            _fail(text, source, "expected a symbol, literal, '#empty', or '('", start)
+            fail("expected a symbol, literal, '#empty', or '('", start)
         while True:  # the atom is complete; close every group that ends here
             kind = lexemes[i][0]
-            if kind in _SUFFIX_KIND:
-                atom = _Raw(ITERATION, _SUFFIX_KIND[kind], [atom],
+            if kind in SUFFIX_KIND:
+                atom = _Raw(ITERATION, SUFFIX_KIND[kind], [atom],
                             (atom.span[0], lexemes[i][3]))
                 i += 1
                 kind = lexemes[i][0]
             items.append(atom)
-            if kind in _ATOM_START:
+            if kind in _ATOM_START or kind in ("bad", "#") and _starts_atom(lexemes[i], src.text):
                 break
             members.append(items[0] if len(items) == 1 else
                            _Raw(SEQUENCE, None, items, (items[0].span[0], items[-1].span[1])))
@@ -256,14 +223,14 @@ def _production(lexemes: list, i: int, text: str, source: str) -> tuple[_Raw, in
                 children = body.children if body.kind == SEQUENCE else [body]
                 return _Raw(PRODUCTION, None, children, body.span), i
             if kind != ")":
-                _fail(text, source, "expected ')'", lexemes[i][2])
+                fail("expected ')'", lexemes[i][2])
             body.span = (opened, lexemes[i][3])
             i += 1
             atom = body
             members, items, opened = outer.pop()
 
 
-def _freeze(root: _Raw, names: dict[str, int], text: str, origin: str) -> GrammarTree:
+def _freeze(root: _Raw, names: dict[str, int], src: Lexed) -> GrammarTree:
     """Number the nodes in pre-order, check that every nonterminal reference
     names a rule, then build the GtNodes children first."""
     order: list[_Raw] = []
@@ -275,7 +242,7 @@ def _freeze(root: _Raw, names: dict[str, int], text: str, origin: str) -> Gramma
         if n.children:
             stack.extend(reversed(n.children))
         elif n.kind == SYMBOL_REF and n.detail not in names and not n.detail[0].isupper():
-            _fail(text, origin, f"reference to undefined rule '{n.detail}'", n.span[0])
+            src.fail(f"reference to undefined rule '{n.detail}'", n.span[0])
     nodes: list[GtNode] = [None] * len(order)
     for n in reversed(order):
         if n.children:
@@ -286,7 +253,7 @@ def _freeze(root: _Raw, names: dict[str, int], text: str, origin: str) -> Gramma
         nodes[n.id] = GtNode(n.id, n.kind, n.detail, kids, n.span, end, nodes)
     root = nodes[0]
     index = {sd.detail: sd for sd in root.children}
-    return GrammarTree(root, index, dict(enumerate(nodes)), text, origin)
+    return GrammarTree(root, index, dict(enumerate(nodes)), src.text, src.source)
 
 
 # -- serialization -----------------------------------------------------------
@@ -312,7 +279,7 @@ def serialize_grammar(tree: GrammarTree) -> str:
 # need them only when there are several
 _CHILD_WRAP = {ITERATION: (ALTERNATIVE, SEQUENCE, ITERATION),
                SEQUENCE: (ALTERNATIVE, SEQUENCE), ALTERNATIVE: (ALTERNATIVE,)}
-_SUFFIX_TEXT = {kind: text for text, kind in _SUFFIX_KIND.items()}
+_SUFFIX_TEXT = {kind: text for text, kind in SUFFIX_KIND.items()}
 
 
 def _serialize_production(prod: GtNode) -> str:

@@ -12,7 +12,10 @@ Wildcards: '#' any symbol reference, '#lex' any literal, '..' any run of
 sequence elements (possibly empty), '...' the remaining alternative
 branches (at least one), '{...}' any non-empty set of productions.
 Quoted literals, '#empty', iteration suffixes, groups, and '|' all keep
-their grammar meaning.  '//' starts a line comment.
+their grammar meaning.  '//' starts a line comment.  Pattern text is read
+from the lexemes of scan.lex, with an explicit stack of the groups still
+open, so a pattern may nest to any depth; matching still recurses once per
+nesting level.
 
 A variable is defined once with '$name=' and may be reused later as
 '$name'.  A variable over a symbol pattern ('#' or a name) accepts only
@@ -40,11 +43,12 @@ present still explores every gap split on failure (O(L^k) for k gaps).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import grammar as g
 from .errors import NotationError
-from .scan import Cursor
+from .scan import Lexed
 
 SYMBOL_VAR = "symbol"
 STRUCT_VAR = "struct"
@@ -152,242 +156,246 @@ class MatchResult:
 # -- parsing -----------------------------------------------------------------
 
 def parse_rule_pattern(text: str, source: str = "<pattern>") -> RulePattern:
-    cur = Cursor(text, source)
-    pat = rule_pattern_at(cur)
-    cur.accept(";")
-    cur.skip_ws()
-    if not cur.eof():
-        cur.error("unexpected text after pattern")
-    return pat
-
-
-def rule_pattern_at(cur: Cursor) -> RulePattern:
-    """Parse 'var? symbolPattern productionPattern*'.
-
-    Does not consume a trailing ';' so that embedding notations (aspect
-    files) can decide what the terminator means.
-    """
-    cur.skip_ws()
-    start = cur.pos
-    var = _accept_var(cur)
-    symbol = _parse_symbol_pattern(cur)
-    productions = []
-    while True:
-        mark = cur.mark()
-        pvar = _accept_var(cur)
-        if not cur.accept(":"):
-            cur.restore(mark)
-            break
-        productions.append(_parse_production_pattern(cur, pvar))
-    if any(isinstance(p, ProdsWildcard) for p in productions) and len(productions) > 1:
-        cur.error("'{...}' must be the only production pattern", start)
-    end = cur.pos
-    pat = RulePattern(var, symbol, tuple(productions),
-                      cur.text[start:end].strip(), {})
-    pat.var_kinds.update(collect_vars(pat))
+    src = Lexed(text, source)
+    pat, i = rule_pattern_at(src, 0)
+    i += src.lexemes[i][0] == ";"
+    _expect_end(src, i)
     return pat
 
 
 def parse_subpattern(text: str, source: str = "<pattern>"):
-    cur = Cursor(text, source)
-    pat = subpattern_at(cur)
-    cur.skip_ws()
-    if not cur.eof():
-        cur.error("unexpected text after pattern")
+    src = Lexed(text, source)
+    pat, i = subpattern_at(src, 0)
+    _expect_end(src, i)
     return pat
 
 
-def subpattern_at(cur: Cursor):
-    """Parse a subpattern body: a production pattern or an alternative
-    pattern (the two shapes allowed under '@' in aspect files)."""
-    cur.skip_ws()
-    mark = cur.mark()
-    pvar = _accept_var(cur)
-    if cur.accept(":"):
-        return _parse_production_pattern(cur, pvar)
-    cur.restore(mark)
-    return _parse_alternative_pattern(cur)
+def _expect_end(src: Lexed, i: int) -> None:
+    kind, _, start, _ = src.lexemes[i]
+    if kind != "eof":
+        src.fail("unexpected text after pattern", start)
 
 
-def _accept_var(cur: Cursor) -> str | None:
-    mark = cur.mark()
-    if cur.accept("$"):
-        name = cur.accept_name()
-        if name is not None and cur.accept("="):
-            return name
-    cur.restore(mark)
+def _var_at(lx: list, i: int) -> tuple[str | None, int]:
+    """'$name=' at lexeme i: the name and the index after it, else (None, i)."""
+    if lx[i][0] == "$" and lx[i + 1][0] == "name" and lx[i + 2][0] == "=":
+        return lx[i + 1][1], i + 3
+    return None, i
+
+
+def rule_pattern_at(src: Lexed, i: int) -> tuple[RulePattern, int]:
+    """Parse 'var? symbolPattern productionPattern*' from lexeme i; return it
+    and the index of the lexeme after it.
+
+    Does not consume a trailing ';' so that embedding notations (aspect
+    files) can decide what the terminator means.
+    """
+    lx, first = src.lexemes, i
+    var, j = _var_at(lx, i)
+    kind, name, pos, _ = lx[j]
+    if kind != "#" and kind != "name":
+        src.fail("expected a rule name or '#'", pos)
+    symbol = AnySym() if kind == "#" else Named(name)
+    i = j + 1
+    productions = []
+    while True:
+        pvar, j = _var_at(lx, i)
+        if lx[j][0] != ":":
+            break
+        prod, i = _production_at(src, j + 1, pvar)
+        productions.append(prod)
+    if len(productions) > 1 and any(type(p) is ProdsWildcard for p in productions):
+        src.fail("'{...}' must be the only production pattern", lx[first][2])
+    # the text runs to the next lexeme after an alternative, else to the
+    # last lexeme's end
+    stop = lx[i][2] if productions and type(productions[-1]) is ProdPat else lx[i - 1][3]
+    pat = RulePattern(var, symbol, tuple(productions), src.text[lx[first][2]:stop].strip(), {})
+    pat.var_kinds.update(collect_vars_at(pat, {}, src, first))
+    return pat, i
+
+
+def subpattern_at(src: Lexed, i: int):
+    """Parse a subpattern body from lexeme i: a production pattern or an
+    alternative pattern (the two shapes allowed under '@' in aspect
+    files); return it and the index of the lexeme after it."""
+    var, j = _var_at(src.lexemes, i)
+    if src.lexemes[j][0] != ":":
+        return _alternative_at(src, i)
+    return _production_at(src, j + 1, var)
+
+
+def _production_at(src: Lexed, i: int, lead_var: str | None):
+    # after the ':': either 'var? {...}' or an alternative pattern
+    lx = src.lexemes
+    var, j = _var_at(lx, i)
+    if lx[j][0] == "{" and _is_dots(lx[j + 1], 3) and lx[j + 2][0] == "}":
+        if lead_var is not None:
+            src.fail("a variable before ':' cannot apply to '{...}'", lx[i - 1][3])
+        return ProdsWildcard(var), j + 3
+    body, i = _alternative_at(src, i)
+    return ProdPat(lead_var, body), i
+
+
+def _is_dots(lexeme: tuple, count: int) -> bool:
+    return lexeme[0] == "." and lexeme[3] - lexeme[2] == count
+
+
+_ITEM_START = {"name", "str", "(", "#", "#lex", "#empty"}
+
+
+def advice_var(lx: list, i: int) -> str | None:
+    """The variable of '$name{' or '$name.attr' at lexeme i: advice of the
+    enclosing aspect notation, which ends a pattern ('$name ..' stays a
+    reference followed by a gap, and '$name=' starts a pattern)."""
+    if lx[i][0] == "$" and lx[i + 1][0] == "name" and (lx[i + 2][0] == "{" or (
+            lx[i + 2][0] == "." and not _is_dots(lx[i + 2], 2))):
+        return lx[i + 1][1]
     return None
 
 
-def _parse_symbol_pattern(cur: Cursor):
-    cur.skip_ws()
-    mark = cur.mark()
-    if cur.accept_word("#lex") or cur.accept_word("#empty"):
-        cur.error("expected a rule name or '#'", mark)
-    if cur.accept("#"):
-        return AnySym()
-    name = cur.accept_name()
-    if name is None:
-        cur.error("expected a rule name or '#'")
-    return Named(name)
+def _starts_item(lx: list, i: int) -> bool:
+    """Whether lexeme i continues a sequence pattern."""
+    kind, value = lx[i][:2]
+    if kind == "$":
+        return lx[i + 1][0] == "name" and advice_var(lx, i) is None
+    if kind == ".":
+        return _is_dots(lx[i], 2)
+    return kind in _ITEM_START or kind == "bad" and (value == "'" or value.isalpha())
 
 
-def _parse_production_pattern(cur: Cursor, lead_var: str | None):
-    # after the ':': either 'var? {...}' or an alternative pattern
-    mark = cur.mark()
-    wvar = _accept_var(cur)
-    if _accept_prods_wildcard(cur):
-        if lead_var is not None:
-            cur.error("a variable before ':' cannot apply to '{...}'", mark)
-        return ProdsWildcard(wvar)
-    cur.restore(mark)
-    return ProdPat(lead_var, _parse_alternative_pattern(cur))
+def _alternative_at(src: Lexed, i: int):
+    """Parse an alternative pattern from lexeme i; return it and the index
+    of the lexeme after it.
 
-
-def _accept_prods_wildcard(cur: Cursor) -> bool:
-    mark = cur.mark()
-    if cur.accept("{") and cur.accept_dots(3) and cur.accept("}"):
-        return True
-    cur.restore(mark)
-    return False
-
-
-def _parse_alternative_pattern(cur: Cursor):
-    members = [_parse_sequence_pattern(cur)]
-    rest = None
-    while cur.accept("|"):
-        if rest is not None:
-            cur.error("'...' must be the last alternative")
-        mark = cur.mark()
-        rvar = _accept_var(cur)
-        if cur.accept_dots(3):
-            rest = RestPat(rvar)
+    An explicit stack holds the groups that parentheses opened, with the
+    variable defined over each, so nesting depth costs no Python
+    recursion.  One-element sequences and alternatives collapse.
+    """
+    lx, fail = src.lexemes, src.fail
+    outer = []  # enclosing groups: (members, items, rest, variable)
+    members, items, rest = [], [], None
+    while True:
+        var, j = _var_at(lx, i)
+        kind, value, start, end = lx[j]
+        i = j + 1
+        if kind == "(":
+            outer.append((members, items, rest, var))
+            members, items, rest = [], [], None
             continue
-        cur.restore(mark)
-        members.append(_parse_sequence_pattern(cur))
-    if len(members) == 1 and rest is None:
-        return members[0]
-    return AltPat(tuple(members), rest)
+        if kind == "$":
+            kind, value, start, _ = lx[i]
+            if kind != "name":
+                fail("expected variable name", start)
+            atom, i = VarRef(value), i + 1
+        elif kind == "str":
+            if not value:
+                fail("empty literal pattern", end)
+            atom = LitPat(value)
+        elif kind == "name":
+            atom = Named(value)
+        elif kind in _WILDCARDS and (kind != "." or end - start == 2):
+            atom = _WILDCARDS[kind]
+        elif kind == "bad" and value == "'":
+            src.bad_string(start)
+        else:
+            fail("expected a pattern element", start)
+        while True:  # the atom is complete; close every group that ends here
+            kind = lx[i][0]
+            if kind in g.SUFFIX_KIND:
+                atom = IterPat(atom, g.SUFFIX_KIND[kind])
+                i += 1
+            items.append(atom if var is None else Bind(var, atom))
+            if _starts_item(lx, i):
+                break
+            members.append(items[0] if len(items) == 1 else SeqPat(tuple(items)))
+            while lx[i][0] == "|":
+                if rest is not None:
+                    fail("'...' must be the last alternative", lx[i][3])
+                rvar, j = _var_at(lx, i + 1)
+                if not _is_dots(lx[j], 3):
+                    i += 1
+                    break  # another member follows
+                rest, i = RestPat(rvar), j + 1
+            else:  # the alternative ends here
+                atom = members[0] if len(members) == 1 and rest is None else \
+                    AltPat(tuple(members), rest)
+                if not outer:
+                    return atom, i
+                if lx[i][0] != ")":
+                    fail("expected ')'", lx[i][2])
+                i += 1
+                members, items, rest, var = outer.pop()
+                continue
+            items = []
+            break
 
 
-def _parse_sequence_pattern(cur: Cursor):
-    items = [_parse_iteration_pattern(cur)]
-    while _at_pattern_atom(cur):
-        items.append(_parse_iteration_pattern(cur))
-    if len(items) == 1:
-        return items[0]
-    return SeqPat(tuple(items))
-
-
-def _at_pattern_atom(cur: Cursor) -> bool:
-    c = cur.peek_char()
-    if not c:
-        return False
-    if c == ".":
-        return cur.dot_run() == 2
-    if c == "$":
-        # a '$' continues the sequence as a var def or var ref, but
-        # '$name{' and '$name.attr' belong to the enclosing aspect
-        # notation ('$name ..' stays a ref followed by a gap)
-        mark = cur.mark()
-        ok = cur.accept("$") and cur.accept_name() is not None
-        if ok:
-            after = cur.peek_char()
-            if after == "{" or (after == "." and cur.dot_run() != 2):
-                ok = False
-        cur.restore(mark)
-        return ok
-    return c.isalpha() or c in "_'(#"
-
-
-def _parse_iteration_pattern(cur: Cursor):
-    cur.skip_ws()
-    var = _accept_var(cur)
-    atom = _parse_atomic_pattern(cur)
-    cur.skip_ws()
-    c = cur.text[cur.pos] if cur.pos < len(cur.text) else ""
-    if c and c in "*+?":
-        cur.pos += 1
-        atom = IterPat(atom, {"*": g.STAR, "+": g.PLUS, "?": g.OPT}[c])
-    if var is not None:
-        return Bind(var, atom)
-    return atom
-
-
-def _parse_atomic_pattern(cur: Cursor):
-    cur.skip_ws()
-    if cur.accept("("):
-        inner = _parse_alternative_pattern(cur)
-        cur.expect(")")
-        return inner
-    if cur.accept_dots(2):
-        return Gap()
-    if cur.accept_word("#empty"):
-        return EmptyPat()
-    if cur.accept_word("#lex"):
-        return AnyLex()
-    if cur.accept("#"):
-        return AnySym()
-    if cur.accept("$"):
-        name = cur.expect_name("variable name")
-        return VarRef(name)
-    text = cur.accept_string()
-    if text is not None:
-        if text == "":
-            cur.error("empty literal pattern")
-        return LitPat(text)
-    name = cur.accept_name()
-    if name is not None:
-        return Named(name)
-    cur.error("expected a pattern element")
+_WILDCARDS = {".": Gap(), "#empty": EmptyPat(), "#lex": AnyLex(), "#": AnySym()}
 
 
 def collect_vars(pattern, defined: dict | None = None) -> dict:
     """Validate variable use and return {name: kind} for new definitions.
 
-    Walks the pattern in match order: a definition must precede all its
-    references, and a name may be defined only once per scope chain
-    (defined carries enclosing definitions when patterns nest).
+    A definition must precede all its references in match order, and a
+    name may be defined only once per scope chain (defined carries
+    enclosing definitions when patterns nest).
+    """
+    return collect_vars_at(pattern, defined, None, 0)
+
+
+def collect_vars_at(pattern, defined, src: Lexed | None, first: int) -> dict:
+    """collect_vars; given the pattern's text (src) and its first lexeme,
+    a fault is reported at the '$' of the offending variable.
+
+    Match order is text order (a pre-order walk, left to right, with each
+    definition before what it is made over), and every '$' in a pattern
+    defines or names a variable, so the k-th variable met is the k-th '$'.
     """
     seen: dict[str, str] = {}
     known = dict(defined or {})
-
-    def define(name: str | None, kind: str):
-        if name is None:
-            return
-        if name in known:
-            raise NotationError(f"variable '${name}' is already defined")
-        known[name] = kind
-        seen[name] = kind
-
-    def walk(p):
+    stack, k = [pattern], 0
+    while stack:
+        p = stack.pop()
+        name, kind = None, STRUCT_VAR
         if isinstance(p, RulePattern):
-            define(p.var, SYMBOL_VAR if isinstance(p.symbol, (AnySym, Named)) else STRUCT_VAR)
-            for prod in p.productions:
-                walk(prod)
-        elif isinstance(p, ProdPat):
-            define(p.var, STRUCT_VAR)
-            walk(p.body)
-        elif isinstance(p, ProdsWildcard):
-            define(p.var, STRUCT_VAR)
+            name = p.var
+            if isinstance(p.symbol, (AnySym, Named)):
+                kind = SYMBOL_VAR
+            stack.extend(reversed(p.productions))
+        elif isinstance(p, (ProdPat, ProdsWildcard, RestPat)):
+            name = p.var
+            if isinstance(p, ProdPat):
+                stack.append(p.body)
         elif isinstance(p, Bind):
-            define(p.name, SYMBOL_VAR if isinstance(p.inner, (AnySym, Named)) else STRUCT_VAR)
-            walk(p.inner)
+            name = p.name
+            if isinstance(p.inner, (AnySym, Named)):
+                kind = SYMBOL_VAR
+            stack.append(p.inner)
         elif isinstance(p, VarRef):
-            if p.name not in known:
-                raise NotationError(f"variable '${p.name}' is not defined before use")
+            name, kind = p.name, None
         elif isinstance(p, SeqPat):
-            for it in p.items:
-                walk(it)
+            stack.extend(reversed(p.items))
         elif isinstance(p, AltPat):
-            for m in p.members:
-                walk(m)
             if p.rest is not None:
-                define(p.rest.var, STRUCT_VAR)
+                stack.append(p.rest)  # met after the members
+            stack.extend(reversed(p.members))
         elif isinstance(p, IterPat):
-            walk(p.inner)
-
-    walk(pattern)
+            stack.append(p.inner)
+        if name is None:
+            continue
+        if kind is None and name not in known:
+            message = f"variable '${name}' is not defined before use"
+        elif kind is not None and name in known:
+            message = f"variable '${name}' is already defined"
+        else:
+            if kind is not None:
+                known[name] = seen[name] = kind
+            k += 1
+            continue
+        if src is None:
+            raise NotationError(message)
+        dollars = (lexeme[2] for lexeme in src.lexemes[first:] if lexeme[0] == "$")
+        src.fail(message, next(itertools.islice(dollars, k, None)))
     return seen
 
 

@@ -3,9 +3,10 @@
 The oracles are deliberately written against the data model only, not
 against the implementation under test: the recognizer oracle enumerates
 the grammar's language instead of parsing, the tree oracle compiles the
-grammar with its own recursive compiler, the reference grammar parser
-descends over characters where parse_grammar lexes with one regular
-expression, the reference serializer recurses where serialize_grammar
+grammar with its own recursive compiler, the reference grammar, aspect,
+pattern and annotation parsers descend over characters with a cursor
+where the package lexes with one regular expression and parses with
+explicit stacks, the reference serializer recurses where serialize_grammar
 keeps a stack, the reference tokenizer ranks every literal and terminal
 as a candidate where tokenize matches literals with one alternation, the
 reference recognizer predicts every production over tuple items where
@@ -25,14 +26,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List
 
+from gramweave import aspects as A
 from gramweave import grammar as G
+from gramweave import patterns as P
 from gramweave import prettyprint
-from gramweave.annotations import (IntValue, NameValue, PunctValue,
-                                   RecordValue, SeqValue, StrValue)
+from gramweave.annotations import (PUNCTUATION, Annotation, Attribute, IntValue,
+                                   NameValue, PunctValue, RecordValue, SeqValue,
+                                   StrValue)
 from gramweave.earley import ParseLeaf, ParseNode, leaves, token_contexts
-from gramweave.errors import LexError, ParseError
+from gramweave.errors import LexError, NotationError, ParseError
 from gramweave.lexer import Token
-from gramweave.scan import Cursor, escape_string
+from gramweave.scan import escape_string, line_col
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -605,7 +609,7 @@ def tree_difference(got, want):
 
 # ---------------------------------------------------------------------------
 # Reference grammar parser: recursive descent straight over characters with
-# the shared Cursor, then a recursive freeze that stores every node's
+# the Cursor below, then a recursive freeze that stores every node's
 # structure key.  parse_grammar must build the same nodes and raise the same
 # errors.  It recurses once per nesting level, so keep its inputs shallow.
 
@@ -1332,3 +1336,563 @@ def results_as_sets(results) -> set:
         bindings = tuple(sorted((var, ids) for var, ids in r.bindings.items()))
         out.add((r.node, bindings))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference notation parsers: recursive descent straight over characters with
+# a character cursor, which lexes each notation in context (e.g. '..' vs
+# '...' vs '.') through mark/restore lookahead.  parse_annotation,
+# parse_rule_pattern, parse_subpattern and parse_aspect must build the same
+# values and raise the same errors, with two exceptions each pinned by its
+# own test: the package gives variable-scope and duplicate-attribute errors
+# the text's source and position, which these leave out.  Integers are ASCII
+# digits here as in the package.  Everything recurses once per nesting
+# level, so keep the inputs shallow.
+
+_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_NAME_CONT = _NAME_START | set("0123456789")
+_REF_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'"}
+
+
+class Cursor:
+    def __init__(self, text: str, source: str = "<string>"):
+        self.text = text
+        self.pos = 0
+        self.source = source
+
+    def location(self, pos: int | None = None) -> tuple[int, int]:
+        return line_col(self.text, self.pos if pos is None else pos)
+
+    def error(self, message: str, pos: int | None = None):
+        line, col = self.location(pos)
+        raise NotationError(message, self.source, line, col)
+
+    def skip_ws(self) -> None:
+        t, n = self.text, len(self.text)
+        i = self.pos
+        while i < n:
+            c = t[i]
+            if c in " \t\r\n":
+                i += 1
+            elif c == "/" and i + 1 < n and t[i + 1] == "/":
+                while i < n and t[i] != "\n":
+                    i += 1
+            else:
+                break
+        self.pos = i
+
+    def eof(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def mark(self) -> int:
+        return self.pos
+
+    def restore(self, mark: int) -> None:
+        self.pos = mark
+
+    def peek_char(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def accept(self, lexeme: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(lexeme, self.pos):
+            self.pos += len(lexeme)
+            return True
+        return False
+
+    def expect(self, lexeme: str, context: str = "") -> None:
+        if not self.accept(lexeme):
+            where = f" in {context}" if context else ""
+            self.error(f"expected '{lexeme}'{where}")
+
+    def accept_dots(self, count: int) -> bool:
+        if self.dot_run() == count:
+            self.pos += count
+            return True
+        return False
+
+    def dot_run(self) -> int:
+        self.skip_ws()
+        i, t, n = self.pos, self.text, len(self.text)
+        run = 0
+        while i + run < n and t[i + run] == ".":
+            run += 1
+        return run
+
+    def accept_word(self, word: str) -> bool:
+        self.skip_ws()
+        end = self.pos + len(word)
+        if self.text.startswith(word, self.pos):
+            if end >= len(self.text) or self.text[end] not in _NAME_CONT:
+                self.pos = end
+                return True
+        return False
+
+    def accept_name(self) -> str | None:
+        self.skip_ws()
+        t, n = self.text, len(self.text)
+        i = self.pos
+        if i < n and t[i] in _NAME_START:
+            j = i + 1
+            while j < n and t[j] in _NAME_CONT:
+                j += 1
+            self.pos = j
+            return t[i:j]
+        return None
+
+    def expect_name(self, what: str = "name") -> str:
+        name = self.accept_name()
+        if name is None:
+            self.error(f"expected {what}")
+        return name
+
+    def accept_int(self) -> int | None:
+        self.skip_ws()
+        t, n = self.text, len(self.text)
+        i = self.pos
+        j = i
+        while j < n and t[j] in "0123456789":
+            j += 1
+        if j > i:
+            self.pos = j
+            return int(t[i:j])
+        return None
+
+    def accept_string(self) -> str | None:
+        self.skip_ws()
+        t, n = self.text, len(self.text)
+        if self.pos >= n or t[self.pos] != "'":
+            return None
+        start = self.pos
+        i = self.pos + 1
+        out = []
+        while True:
+            if i >= n or t[i] == "\n":
+                self.error("unterminated string", start)
+            c = t[i]
+            if c == "'":
+                self.pos = i + 1
+                return "".join(out)
+            if c == "\\":
+                if i + 1 >= n:
+                    self.error("unterminated string", start)
+                esc = t[i + 1]
+                if esc not in _REF_ESCAPES:
+                    self.error(f"unknown escape '\\{esc}'", i)
+                out.append(_REF_ESCAPES[esc])
+                i += 2
+            else:
+                out.append(c)
+                i += 1
+
+
+def reference_parse_annotation(text: str, source: str = "<string>") -> Annotation:
+    cur = Cursor(text, source)
+    ann = _ref_annotation(cur)
+    cur.skip_ws()
+    if not cur.eof():
+        raise cur.error("unexpected text after annotation")
+    return ann
+
+
+def _ref_annotation(cur: Cursor) -> Annotation:
+    if cur.accept("."):
+        return Annotation((_ref_attribute(cur),))
+    cur.expect("{", "annotation")
+    attrs = []
+    if not cur.accept("}"):
+        attrs.append(_ref_attribute(cur))
+        while cur.accept(";"):
+            if cur.peek_char() in ("}", ";"):
+                continue
+            attrs.append(_ref_attribute(cur))
+        cur.expect("}", "annotation")
+    return Annotation(tuple(attrs))
+
+
+def _ref_attribute(cur: Cursor) -> Attribute:
+    loc = cur.location()
+    namespace = None
+    name = cur.accept_name()
+    if name is None:
+        raise cur.error("expected attribute name")
+    if cur.accept(":"):
+        namespace = name
+        cur.skip_ws()
+        loc = cur.location()
+        name = cur.expect_name("attribute name")
+    value = None
+    if cur.accept("="):
+        value = _ref_attr_value(cur)
+    return Attribute(name, namespace, value, loc=loc)
+
+
+def _ref_attr_value(cur: Cursor):
+    if cur.accept("{{"):
+        return _ref_seq_value(cur)
+    c = cur.peek_char()
+    if c == "{" or c == ".":
+        return RecordValue(_ref_annotation(cur))
+    n = cur.accept_int()
+    if n is not None:
+        return IntValue(n)
+    s = cur.accept_string()
+    if s is not None:
+        return StrValue(s)
+    name = cur.accept_name()
+    if name is not None:
+        return NameValue(name)
+    raise cur.error("expected a value")
+
+
+def _ref_seq_value(cur: Cursor) -> SeqValue:
+    items = []
+    while True:
+        if cur.accept("}}"):
+            return SeqValue(tuple(items))
+        c = cur.peek_char()
+        if not c:
+            raise cur.error("unterminated '{{' sequence")
+        if c.isdigit() or c == "'" or c == "{" or c.isalpha() or c == "_":
+            items.append(_ref_attr_value(cur))
+        elif c in PUNCTUATION:
+            cur.accept(c)
+            items.append(PunctValue(c))
+        else:
+            raise cur.error(f"unexpected character {c!r} in sequence")
+
+
+def reference_parse_rule_pattern(text: str, source: str = "<pattern>") -> P.RulePattern:
+    cur = Cursor(text, source)
+    pat = _ref_rule_pattern(cur)
+    cur.accept(";")
+    cur.skip_ws()
+    if not cur.eof():
+        cur.error("unexpected text after pattern")
+    return pat
+
+
+def _ref_rule_pattern(cur: Cursor) -> P.RulePattern:
+    cur.skip_ws()
+    start = cur.pos
+    var = _ref_var(cur)
+    symbol = _ref_symbol_pattern(cur)
+    productions = []
+    while True:
+        mark = cur.mark()
+        pvar = _ref_var(cur)
+        if not cur.accept(":"):
+            cur.restore(mark)
+            break
+        productions.append(_ref_production_pattern(cur, pvar))
+    if any(isinstance(p, P.ProdsWildcard) for p in productions) and len(productions) > 1:
+        cur.error("'{...}' must be the only production pattern", start)
+    end = cur.pos
+    pat = P.RulePattern(var, symbol, tuple(productions), cur.text[start:end].strip(), {})
+    pat.var_kinds.update(reference_collect_vars(pat))
+    return pat
+
+
+def reference_parse_subpattern(text: str, source: str = "<pattern>"):
+    cur = Cursor(text, source)
+    pat = _ref_subpattern_body(cur)
+    cur.skip_ws()
+    if not cur.eof():
+        cur.error("unexpected text after pattern")
+    return pat
+
+
+def _ref_subpattern_body(cur: Cursor):
+    cur.skip_ws()
+    mark = cur.mark()
+    pvar = _ref_var(cur)
+    if cur.accept(":"):
+        return _ref_production_pattern(cur, pvar)
+    cur.restore(mark)
+    return _ref_alternative_pattern(cur)
+
+
+def _ref_var(cur: Cursor) -> str | None:
+    mark = cur.mark()
+    if cur.accept("$"):
+        name = cur.accept_name()
+        if name is not None and cur.accept("="):
+            return name
+    cur.restore(mark)
+    return None
+
+
+def _ref_symbol_pattern(cur: Cursor):
+    cur.skip_ws()
+    mark = cur.mark()
+    if cur.accept_word("#lex") or cur.accept_word("#empty"):
+        cur.error("expected a rule name or '#'", mark)
+    if cur.accept("#"):
+        return P.AnySym()
+    name = cur.accept_name()
+    if name is None:
+        cur.error("expected a rule name or '#'")
+    return P.Named(name)
+
+
+def _ref_production_pattern(cur: Cursor, lead_var: str | None):
+    mark = cur.mark()
+    wvar = _ref_var(cur)
+    if _ref_prods_wildcard(cur):
+        if lead_var is not None:
+            cur.error("a variable before ':' cannot apply to '{...}'", mark)
+        return P.ProdsWildcard(wvar)
+    cur.restore(mark)
+    return P.ProdPat(lead_var, _ref_alternative_pattern(cur))
+
+
+def _ref_prods_wildcard(cur: Cursor) -> bool:
+    mark = cur.mark()
+    if cur.accept("{") and cur.accept_dots(3) and cur.accept("}"):
+        return True
+    cur.restore(mark)
+    return False
+
+
+def _ref_alternative_pattern(cur: Cursor):
+    members = [_ref_sequence_pattern(cur)]
+    rest = None
+    while cur.accept("|"):
+        if rest is not None:
+            cur.error("'...' must be the last alternative")
+        mark = cur.mark()
+        rvar = _ref_var(cur)
+        if cur.accept_dots(3):
+            rest = P.RestPat(rvar)
+            continue
+        cur.restore(mark)
+        members.append(_ref_sequence_pattern(cur))
+    if len(members) == 1 and rest is None:
+        return members[0]
+    return P.AltPat(tuple(members), rest)
+
+
+def _ref_sequence_pattern(cur: Cursor):
+    items = [_ref_iteration_pattern(cur)]
+    while _ref_at_pattern_atom(cur):
+        items.append(_ref_iteration_pattern(cur))
+    if len(items) == 1:
+        return items[0]
+    return P.SeqPat(tuple(items))
+
+
+def _ref_at_pattern_atom(cur: Cursor) -> bool:
+    c = cur.peek_char()
+    if not c:
+        return False
+    if c == ".":
+        return cur.dot_run() == 2
+    if c == "$":
+        mark = cur.mark()
+        ok = cur.accept("$") and cur.accept_name() is not None
+        if ok:
+            after = cur.peek_char()
+            if after == "{" or (after == "." and cur.dot_run() != 2):
+                ok = False
+        cur.restore(mark)
+        return ok
+    return c.isalpha() or c in "_'(#"
+
+
+def _ref_iteration_pattern(cur: Cursor):
+    cur.skip_ws()
+    var = _ref_var(cur)
+    atom = _ref_atomic_pattern(cur)
+    cur.skip_ws()
+    c = cur.text[cur.pos] if cur.pos < len(cur.text) else ""
+    if c and c in "*+?":
+        cur.pos += 1
+        atom = P.IterPat(atom, {"*": G.STAR, "+": G.PLUS, "?": G.OPT}[c])
+    if var is not None:
+        return P.Bind(var, atom)
+    return atom
+
+
+def _ref_atomic_pattern(cur: Cursor):
+    cur.skip_ws()
+    if cur.accept("("):
+        inner = _ref_alternative_pattern(cur)
+        cur.expect(")")
+        return inner
+    if cur.accept_dots(2):
+        return P.Gap()
+    if cur.accept_word("#empty"):
+        return P.EmptyPat()
+    if cur.accept_word("#lex"):
+        return P.AnyLex()
+    if cur.accept("#"):
+        return P.AnySym()
+    if cur.accept("$"):
+        return P.VarRef(cur.expect_name("variable name"))
+    text = cur.accept_string()
+    if text is not None:
+        if text == "":
+            cur.error("empty literal pattern")
+        return P.LitPat(text)
+    name = cur.accept_name()
+    if name is not None:
+        return P.Named(name)
+    cur.error("expected a pattern element")
+
+
+def reference_collect_vars(pattern, defined: dict | None = None) -> dict:
+    seen: dict[str, str] = {}
+    known = dict(defined or {})
+
+    def define(name: str | None, kind: str):
+        if name is None:
+            return
+        if name in known:
+            raise NotationError(f"variable '${name}' is already defined")
+        known[name] = kind
+        seen[name] = kind
+
+    def walk(p):
+        if isinstance(p, P.RulePattern):
+            define(p.var, P.SYMBOL_VAR if isinstance(p.symbol, (P.AnySym, P.Named))
+                   else P.STRUCT_VAR)
+            for prod in p.productions:
+                walk(prod)
+        elif isinstance(p, P.ProdPat):
+            define(p.var, P.STRUCT_VAR)
+            walk(p.body)
+        elif isinstance(p, P.ProdsWildcard):
+            define(p.var, P.STRUCT_VAR)
+        elif isinstance(p, P.Bind):
+            define(p.name, P.SYMBOL_VAR if isinstance(p.inner, (P.AnySym, P.Named))
+                   else P.STRUCT_VAR)
+            walk(p.inner)
+        elif isinstance(p, P.VarRef):
+            if p.name not in known:
+                raise NotationError(f"variable '${p.name}' is not defined before use")
+        elif isinstance(p, P.SeqPat):
+            for it in p.items:
+                walk(it)
+        elif isinstance(p, P.AltPat):
+            for m in p.members:
+                walk(m)
+            if p.rest is not None:
+                define(p.rest.var, P.STRUCT_VAR)
+        elif isinstance(p, P.IterPat):
+            walk(p.inner)
+
+    walk(pattern)
+    return seen
+
+
+def reference_parse_aspect(text: str, source: str = "<aspect>") -> A.Aspect:
+    cur = Cursor(text, source)
+    grammar_annotation = None
+    if cur.peek_char() in ("{", "."):
+        grammar_annotation = _ref_annotation(cur)
+    rules = []
+    while True:
+        cur.skip_ws()
+        if cur.eof():
+            break
+        rules.append(_ref_annotation_rule(cur))
+    return A.Aspect(grammar_annotation, tuple(rules))
+
+
+def _ref_multiplicity(cur: Cursor):
+    if not cur.accept("["):
+        return None
+    pos = cur.mark()
+    lo = _ref_int_or_inf(cur)
+    if cur.accept(".."):
+        hi = _ref_int_or_inf(cur)
+        if lo is None:
+            raise cur.error("multiplicity lower bound must be an integer", pos)
+    elif lo is None:
+        lo, hi = 0, None
+    else:
+        hi = lo
+    cur.expect("]", "multiplicity")
+    try:
+        return A.Multiplicity(lo, hi)
+    except ValueError as exc:
+        raise cur.error(str(exc), pos)
+
+
+def _ref_int_or_inf(cur: Cursor):
+    if cur.accept("*"):
+        return None
+    n = cur.accept_int()
+    if n is None:
+        raise cur.error("expected an integer or '*'")
+    return n
+
+
+def _ref_annotation_rule(cur: Cursor) -> A.AnnotationRule:
+    cur.skip_ws()
+    loc = cur.location()
+    mult = _ref_multiplicity(cur) or A.DEFAULT_MULTIPLICITY
+    pattern = _ref_rule_pattern(cur)
+    subrules = _ref_subrules(cur, dict(pattern.var_kinds))
+    if subrules:
+        cur.accept(";")
+    elif not cur.accept(";"):
+        cur.skip_ws()
+        if not cur.eof():
+            raise cur.error("expected advice or ';' after rule pattern")
+    return A.AnnotationRule(mult, pattern, subrules, loc)
+
+
+def _ref_subrules(cur: Cursor, kinds: dict) -> tuple:
+    items = []
+    while True:
+        if cur.accept("@"):
+            items.append(_ref_subpattern(cur, kinds))
+            continue
+        var = _ref_at_variable_annotation(cur)
+        if var is None:
+            return tuple(items)
+        ann = _ref_annotation(cur)
+        cur.expect(";", "variable annotation")
+        if var not in kinds:
+            raise cur.error(f"variable '${var}' is not defined by an enclosing pattern")
+        items.append(A.VariableAnnotation(var, ann))
+
+
+def _ref_at_variable_annotation(cur: Cursor) -> str | None:
+    mark = cur.mark()
+    if not cur.accept("$"):
+        return None
+    name = cur.accept_name()
+    if name is not None:
+        c = cur.peek_char()
+        if c == "{" or (c == "." and cur.dot_run() != 2):
+            return name
+    cur.restore(mark)
+    return None
+
+
+def _ref_subpattern(cur: Cursor, enclosing: dict) -> A.Subpattern:
+    mult = _ref_multiplicity(cur) or A.DEFAULT_MULTIPLICITY
+    cur.skip_ws()
+    start = cur.pos
+    loc = cur.location(start)
+    pattern = _ref_subpattern_body(cur)
+    text = cur.text[start:cur.pos].strip()
+    kinds = {**enclosing, **reference_collect_vars(pattern, defined=enclosing)}
+    cur.expect(":", "subpattern")
+    c = cur.peek_char()
+    if c == "{" or c == ".":
+        ann = _ref_annotation(cur)
+        cur.expect(";", "subpattern advice")
+        return A.Subpattern(mult, pattern, text, ann, (), kinds, loc)
+    nested = _ref_subrules(cur, dict(kinds))
+    if nested:
+        cur.accept(";")
+    elif not cur.accept(";"):
+        cur.skip_ws()
+        if not cur.eof():
+            raise cur.error("expected annotation, advice, or ';' in subpattern")
+    return A.Subpattern(mult, pattern, text, None, nested, kinds, loc)

@@ -83,6 +83,18 @@ class TestParse:
         with pytest.raises(NotationError):
             parse_annotation(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("{ a = ² }", "a.txt:1:7: expected a value"),
+        ("{ a = ١٢ }", "a.txt:1:7: expected a value"),
+        ("{ a = {{ 1 ² }} }", "a.txt:1:12: expected a value"),
+        ("{ a = 1; a = 2 }", "a.txt:1:10: duplicate attribute 'a' in annotation"),
+    ])
+    def test_positioned_errors(self, text, message):
+        # integers are ASCII digits, though str.isdigit accepts ² and ١
+        with pytest.raises(NotationError) as exc:
+            parse_annotation(text, "a.txt")
+        assert str(exc.value) == message
+
 
 class TestStore:
     @pytest.fixture

@@ -1,9 +1,20 @@
+import random
+import re
+from pathlib import Path
+
 import pytest
 
 from gramweave import (ConflictError, DEFAULT_MULTIPLICITY, Multiplicity,
                        NameValue, NotationError, WeaveError, WeaveFailure,
-                       match_rules, parse_aspect, serialize_store, weave)
-from gramweave.aspects import Subpattern, VariableAnnotation
+                       match_rules, parse_aspect, parse_rule_pattern,
+                       parse_subpattern, serialize_store, weave)
+from gramweave.aspects import Aspect, Subpattern, VariableAnnotation
+from gramweave.patterns import RulePattern
+from support import (FIXTURES, fixture, random_rule_pattern_text,
+                     reference_parse_aspect, reference_parse_rule_pattern,
+                     reference_parse_subpattern)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def weave_errors(tree, aspects):
@@ -75,6 +86,30 @@ class TestParseAspect:
     def test_rejects(self, text):
         with pytest.raises(NotationError):
             parse_aspect(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[²] s : {...} ;", "my.aspect:1:2: expected an integer or '*'"),
+        ("[١] s : {...} ;", "my.aspect:1:2: expected an integer or '*'"),
+        ("s : {...} @#: { a = ² } ;", "my.aspect:1:21: expected a value"),
+    ])
+    def test_integers_are_ascii_digits(self, text, message):
+        # ² and ١ are digits to str.isdigit, but not integers of the notation
+        with pytest.raises(NotationError) as exc:
+            parse_aspect(text, "my.aspect")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("s : $x ;", "1:5: variable '$x' is not defined before use"),
+        ("# : $a=# $a=# ;", "1:10: variable '$a' is already defined"),
+        ("# : $x=# ..\n  @$x=#lex: { a } ;", "2:4: variable '$x' is already defined"),
+        ("# : ..\n  @(.. $q)* $q=#: { a } ;", "2:8: variable '$q' is not defined before use"),
+        ("# : ..\n  @#lex: { a = 1; a = 2 } ;", "2:19: duplicate attribute 'a' in annotation"),
+        ("{ b; c = { d; d } } # : .. ;", "1:15: duplicate attribute 'd' in annotation"),
+    ])
+    def test_scope_and_duplicate_errors_are_placed(self, text, message):
+        with pytest.raises(NotationError) as exc:
+            parse_aspect(text, "my.aspect")
+        assert str(exc.value) == "my.aspect:" + message
 
 
 class TestCheckMultiplicity:
@@ -220,3 +255,80 @@ class TestRobustnessRegression:
         fourteen = match_rules(pattern, java14)
         assert [java5.by_id[m.node].detail for m in five] == ["normalClassDeclaration"]
         assert [java14.by_id[m.node].detail for m in fourteen] == ["classDeclaration"]
+
+
+def notation_outcome(parse, text, source):
+    """A parse's value, or its NotationError as (message, source, line, col)."""
+    try:
+        return parse(text, source)
+    except NotationError as exc:
+        return (exc.message, exc.source, exc.line, exc.col)
+
+
+# the errors the reference raises without the text's source: variable scope
+# (no position either) and duplicate attributes
+_UNPLACED = re.compile(r"variable '\$\w+' is (not defined before use|already defined)$"
+                       r"|duplicate attribute '[\w:]+' in annotation$")
+
+
+def assert_same_outcome(parse, reference, text, source="x.aspect"):
+    got = notation_outcome(parse, text, source)
+    want = notation_outcome(reference, text, source)
+    if isinstance(want, tuple) and want[1] == "<string>" and _UNPLACED.match(want[0]):
+        # the one difference allowed: the package places the error
+        assert isinstance(got, tuple) and got[:2] == (want[0], source), (text, got, want)
+        if want[2]:
+            assert got[2:] == want[2:], (text, got, want)
+        else:
+            # the offending variable's '$'
+            offset = sum(len(line) + 1 for line in text.split("\n")[:got[2] - 1])
+            name = want[0].split("'")[1][1:]
+            assert re.match(r"\$\s*" + name, text[offset + got[3] - 1:]), (text, got)
+    else:
+        assert got == want, (text, got, want)
+    return got
+
+
+class TestNotationOracle:
+    """The lexeme parsers against the character-level reference parsers."""
+
+    ASPECTS = [FIXTURES / "highlight.aspect", FIXTURES / "pretty.aspect",
+               BENCH / "weave.aspect", BENCH / "arith.aspect"]
+
+    @pytest.mark.parametrize("path", ASPECTS, ids=lambda p: p.name)
+    def test_aspect_files(self, path):
+        text = path.read_text(encoding="utf-8")
+        got = assert_same_outcome(parse_aspect, reference_parse_aspect, text, path.name)
+        assert isinstance(got, Aspect) and got.rules
+
+    def test_random_rule_patterns(self):
+        rng = random.Random(60613)
+        parsed = 0
+        for _ in range(200):
+            text = random_rule_pattern_text(rng)
+            got = assert_same_outcome(parse_rule_pattern, reference_parse_rule_pattern, text)
+            parsed += isinstance(got, RulePattern)
+            body = text.split(":", 1)[1]
+            assert_same_outcome(parse_subpattern, reference_parse_subpattern, body)
+        assert parsed >= 150
+
+    @pytest.mark.parametrize("name", ["highlight.aspect", "pretty.aspect"])
+    def test_mutated_aspects(self, name):
+        text = fixture(name)
+        rng = random.Random(name)
+        alphabet = "{}[].#$@:;=|'\\²é/0123456789"
+        outcomes = set()
+        for _ in range(300):
+            chars = list(text)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(chars) + 1)
+                roll = rng.random()
+                if roll < 0.4 or at == len(chars):
+                    chars.insert(at, rng.choice(alphabet))
+                elif roll < 0.7:
+                    chars[at] = rng.choice(alphabet)
+                else:
+                    del chars[at]
+            got = assert_same_outcome(parse_aspect, reference_parse_aspect, "".join(chars))
+            outcomes.add(isinstance(got, Aspect))
+        assert outcomes == {True, False}

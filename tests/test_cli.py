@@ -99,6 +99,23 @@ class TestCheck:
         assert code == 2
         assert err.startswith(f"error: {bad}:")
 
+    @pytest.mark.parametrize("text, where", [
+        ("# : $tr (.. $tr=#)* ;\n", "1:5: variable '$tr' is not defined before use"),
+        ("# : ..\n  @#lex: { a = 1; a = 2 } ;\n", "2:19: duplicate attribute 'a' in annotation"),
+    ])
+    def test_scope_and_duplicate_errors_name_the_aspect(self, capsys, tmp_path, text, where):
+        bad = tmp_path / "bad.aspect"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "check", ARITH, "-a", str(bad))
+        assert (code, out, err) == (2, "", f"error: {bad}:{where}\n")
+
+    def test_deep_annotation_value(self, capsys, tmp_path, default_recursion_limit):
+        aspect = tmp_path / "deep.aspect"
+        aspect.write_text("factor : {...} @INT: { a = " + "{{ " * 1000 + "x" +
+                          " }}" * 1000 + " } ; ;\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", ARITH, "-a", str(aspect))
+        assert (code, out, err) == (0, "ok: 1 attributes woven\n", "")
+
     def test_missing_aspect_flag(self, capsys):
         code, _, err = run(capsys, "check", ARITH)
         assert code == 2

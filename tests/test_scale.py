@@ -10,13 +10,16 @@ from collections import Counter
 
 import pytest
 
-from gramweave import (ParseLeaf, ParseNode, Token, WeaveFailure, assign_groups,
-                       format_tree, leaves, parse_aspect, parse_grammar,
+from gramweave import (Attribute, IntValue, Multiplicity, NameValue, ParseLeaf,
+                       ParseNode, PunctValue, RecordValue, SeqValue, Token,
+                       WeaveFailure, assign_groups, format_tree, leaves,
+                       parse_annotation, parse_aspect, parse_grammar,
                        parse_input, parse_lexer_spec, render_ansi,
                        serialize_grammar, strip_ansi, token_contexts, tokenize,
                        weave)
 from gramweave.earley import _Extractor
 from gramweave.grammar import descendants
+from gramweave.patterns import Bind, LitPat, VarRef
 from support import (chain_arith_text, context_lists, deep_grammar_text,
                      java_class_text, nested_arith_text, nested_iteration_text, oracle_parse,
                      reference_format, reference_serialize_grammar,
@@ -206,3 +209,68 @@ class TestUnitCycles:
             (leaf,) = step.children
             assert isinstance(leaf, ParseLeaf) and leaf.token.span == (i, i + 1)
         assert 0 < calls["viable"] <= 2 * n and 0 < calls["split"] <= 2 * n
+
+
+class TestNotation:
+    """Aspect text nested 1,000 deep parses with explicit stacks; results
+    are checked level by level, because dataclass == and repr recurse."""
+
+    depth = 1000
+
+    def test_deep_record_value(self):
+        ann = parse_annotation("{ a = " * self.depth + "1" + " }" * self.depth)
+        for _ in range(self.depth - 1):
+            (attr,) = ann.attributes
+            assert attr.name == "a" and isinstance(attr.value, RecordValue)
+            ann = attr.value.annotation
+        assert ann.attributes == (Attribute("a", None, IntValue(1)),)
+
+    def test_deep_sequence_value(self):
+        text = "{ a = " + "{{ . " * self.depth + "x" + " }}" * self.depth + " }"
+        value = parse_annotation(text).get("a")
+        for _ in range(self.depth - 1):
+            dot, value = value.items
+            assert dot == PunctValue(".") and isinstance(value, SeqValue)
+        assert value == SeqValue((PunctValue("."), NameValue("x")))
+
+    def test_deep_pattern(self):
+        # each level binds a variable over an alternative whose second
+        # member is the next level; the innermost one refers to the first
+        text = "s : " + "".join(f"$v{k}=('x' | " for k in range(self.depth)) + "$v0" + \
+            ")" * self.depth
+        (rule,) = parse_aspect(text + " ;").rules
+        pattern = rule.pattern
+        assert pattern.text == text
+        assert pattern.var_kinds == {f"v{k}": "struct" for k in range(self.depth)}
+        node = pattern.productions[0].body
+        for k in range(self.depth):
+            assert isinstance(node, Bind) and node.name == f"v{k}"
+            first, node = node.inner.members
+            assert first == LitPat("x") and node is not None
+        assert node == VarRef("v0")
+
+    def test_deep_iteration_pattern_weaves(self):
+        # a pattern 400 deep: _Matcher.one still recurses per level
+        depth = 400
+        aspect = parse_aspect(f"s : {nested_iteration_text(depth, '..')} @ID: {{ g = x }} ;")
+        store = weave(parse_grammar(deep_grammar_text(depth)), [aspect])
+        assert list(store.annotated_nodes()) == [depth + 3]
+
+    def test_deep_nested_subpatterns(self):
+        # 'a<k>' .. matches both the sequence that 'a<k>' starts and the
+        # literal itself, in which nothing is nested
+        grammar = parse_grammar("s : " + "".join(f"'a{k}' (" for k in range(self.depth)) +
+                                "ID" + ")?" * self.depth + " ;")
+        aspect = parse_aspect("s : {...}" + "".join(f" @[0..*] 'a{k}' ..:"
+                                                   for k in range(self.depth)) +
+                              " @[0..*] ID: { g = x } ;" + " ;" * self.depth)
+        (rule,) = aspect.rules
+        (sub,) = rule.subrules
+        for k in range(self.depth):
+            assert (sub.multiplicity, sub.text, sub.annotation) == \
+                (Multiplicity(0, None), f"'a{k}' ..", None)
+            (sub,) = sub.subrules
+        assert sub.text == "ID" and sub.annotation.get("g") == NameValue("x")
+        store = weave(grammar, [aspect])
+        (node,) = store.annotated_nodes()
+        assert grammar.by_id[node].detail == "ID" and len(store) == 1
