@@ -416,49 +416,44 @@ class NodeMemo(dict):
 #                    ...]}                     ascending node id, attach order
 
 
-def _value_to_json(value: Optional[Value]):
-    if value is None:
-        return None
-    if isinstance(value, IntValue):
-        return {"type": "int", "value": value.value}
-    if isinstance(value, StrValue):
-        return {"type": "str", "text": value.text}
-    if isinstance(value, NameValue):
-        return {"type": "name", "name": value.name}
-    if isinstance(value, PunctValue):
-        return {"type": "punct", "char": value.char}
-    if isinstance(value, SeqValue):
-        return {"type": "seq", "items": [_value_to_json(v) for v in value.items]}
-    if isinstance(value, RecordValue):
-        return {"type": "record",
-                "attributes": [_attr_to_json(a) for a in value.annotation.attributes]}
-    raise TypeError(f"unknown value {value!r}")
-
-
-def _attr_to_json(attr: Attribute):
-    return {"namespace": attr.namespace, "name": attr.name,
-            "value": _value_to_json(attr.value)}
+# the scalar values by their "type" in a store document: class and field
+_SCALAR_FIELDS = {"int": (IntValue, "value"), "str": (StrValue, "text"),
+                  "name": (NameValue, "name"), "punct": (PunctValue, "char")}
+_SCALAR_TYPES = {cls: (kind, name) for kind, (cls, name) in _SCALAR_FIELDS.items()}
 
 
 def _value_from_json(data) -> Optional[Value]:
-    if data is None:
-        return None
-    kind = data["type"]
-    if kind == "int":
-        return IntValue(_checked(data["value"], _is_int, "an int value"))
-    if kind == "str":
-        return StrValue(data["text"])
-    if kind == "name":
-        return NameValue(data["name"])
-    if kind == "punct":
-        return PunctValue(data["char"])
-    if kind == "seq":
-        return SeqValue(tuple(_value_from_json(v) for v in data["items"]))
-    if kind == "record":
-        attrs = tuple(Attribute(a["name"], a["namespace"], _value_from_json(a["value"]))
-                      for a in data["attributes"])
-        return RecordValue(Annotation(attrs))
-    raise NotationError(f"unknown value type {kind!r} in store document")
+    """The value a store document spells.  Its JSON objects are listed in
+    pre-order, last part first, then built in reverse, so each sequence
+    or record finds its parts built last on the values list."""
+    order, todo = [], [data]
+    while todo:
+        item = todo.pop()
+        order.append(item)
+        if item is not None and item["type"] == "seq":
+            todo.extend(item["items"])
+        elif item is not None and item["type"] == "record":
+            todo.extend(a["value"] for a in item["attributes"])
+    values = []
+    for item in reversed(order):
+        kind = None if item is None else item["type"]
+        if kind in ("seq", "record"):
+            parts = item["items" if kind == "seq" else "attributes"]
+            built = values[len(values) - len(parts):]
+            del values[len(values) - len(parts):]
+            values.append(SeqValue(tuple(built)) if kind == "seq" else RecordValue(
+                Annotation(tuple(Attribute(a["name"], a["namespace"], v)
+                                 for a, v in zip(parts, built)))))
+        elif kind in _SCALAR_FIELDS:
+            cls, name = _SCALAR_FIELDS[kind]
+            if cls is IntValue:
+                _checked(item[name], _is_int, "an int value")
+            values.append(cls(item[name]))
+        elif item is None:
+            values.append(None)
+        else:
+            raise NotationError(f"unknown value type {kind!r} in store document")
+    return values[0]
 
 
 def _quote(text: Optional[str]) -> str:
@@ -503,10 +498,7 @@ _PROVENANCE = """{{
         "rule": {}
       }}"""
 
-_SCALAR = """{{
-        "type": "{}",
-        "{}": {}
-      }}"""
+_SCALAR = '{{\n{0}  "type": "{1}",\n{0}  "{2}": {3}\n{0}}}'
 
 
 def _child_ids(node):
@@ -516,21 +508,53 @@ def _child_ids(node):
     return [c.id for c in node.children]
 
 
-def _value_text(value: Optional[Value]) -> str:
-    """A value as it stands in an annotation entry, its fields 8 spaces in."""
+def _scalar_text(value, pad: str) -> str:
+    """A scalar value or None, its closing brace pad spaces in."""
     if value is None:
         return "null"
-    if isinstance(value, IntValue):
-        return _SCALAR.format("int", "value", json.dumps(value.value))
-    if isinstance(value, StrValue):
-        return _SCALAR.format("str", "text", _quote(value.text))
-    if isinstance(value, NameValue):
-        return _SCALAR.format("name", "name", _quote(value.name))
-    if isinstance(value, PunctValue):
-        return _SCALAR.format("punct", "char", _quote(value.char))
-    # records and sequences are rare and nested; a JSON string never holds a
-    # raw newline, so indenting after every newline is safe
-    return json.dumps(_value_to_json(value), indent=2).replace("\n", "\n      ")
+    kind, name = _SCALAR_TYPES[type(value)]
+    text = getattr(value, name)
+    return _SCALAR.format(pad, kind, name, json.dumps(text) if kind == "int" else _quote(text))
+
+
+def _value_text(value: Optional[Value]) -> str:
+    """A value as json.dumps(indent=2) writes it in an annotation entry:
+    its fields 8 spaces in, its closing brace 6.
+
+    A scalar is one template.  Sequences and records write their heads at
+    once and leave their parts, separators and ends on a stack of what is
+    still to write, last first, so values nest to any depth.
+    """
+    if value is None or type(value) in _SCALAR_TYPES:  # most values
+        return _scalar_text(value, "      ")
+    out, todo = [], [(value, "      ")]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        value, pad = item
+        inner = pad + "  "
+        if value is None or type(value) in _SCALAR_TYPES:
+            out.append(_scalar_text(value, pad))
+        elif type(value) is Attribute:
+            out.append(f'{{\n{inner}"namespace": {_quote(value.namespace)},\n'
+                       f'{inner}"name": {_quote(value.name)},\n{inner}"value": ')
+            todo += ("\n" + pad + "}", (value.value, inner))
+        else:
+            kind, name, parts = ("seq", "items", value.items) if type(value) is SeqValue \
+                else ("record", "attributes", value.annotation.attributes)
+            out.append(f'{{\n{inner}"type": "{kind}",\n{inner}"{name}": ')
+            if not parts:
+                out.append("[]\n" + pad + "}")
+                continue
+            out.append("[\n" + inner + "  ")
+            todo.append("\n" + inner + "]\n" + pad + "}")
+            for k in range(len(parts) - 1, -1, -1):
+                todo.append((parts[k], inner + "  "))
+                if k:
+                    todo.append(",\n" + inner + "  ")
+    return "".join(out)
 
 
 def serialize_store(store: AnnotationStore) -> str:
@@ -581,6 +605,8 @@ def deserialize_store(text: str) -> AnnotationStore:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NotationError(f"store document is not valid JSON: {exc}")
+    except RecursionError:  # json.loads recurses per level; the writer does not
+        raise NotationError("store document nests too deep for the JSON reader") from None
     if not isinstance(doc, dict):
         raise NotationError("store document is not a JSON object")
     if doc.get("version") != 1:

@@ -12,10 +12,7 @@ Wildcards: '#' any symbol reference, '#lex' any literal, '..' any run of
 sequence elements (possibly empty), '...' the remaining alternative
 branches (at least one), '{...}' any non-empty set of productions.
 Quoted literals, '#empty', iteration suffixes, groups, and '|' all keep
-their grammar meaning.  '//' starts a line comment.  Pattern text is read
-from the lexemes of scan.lex, with an explicit stack of the groups still
-open, so a pattern may nest to any depth; matching still recurses once per
-nesting level.
+their grammar meaning.  '//' starts a line comment.
 
 A variable is defined once with '$name=' and may be reused later as
 '$name'.  A variable over a symbol pattern ('#' or a name) accepts only
@@ -28,17 +25,20 @@ Matching yields one MatchResult per matched node, carrying the bindings
 of the first alignment in a deterministic exploration order: choices are
 tried left to right and '..' prefers the shortest absorption.  The set
 of matched nodes does not depend on that preference, only the reported
-bindings do.
+bindings do.  Both pattern text and matching keep explicit stacks (the
+groups still open; the goals still to meet and the choices still to
+try), so a pattern may nest to any depth.
 
 Each pattern gets a gate, computed once per match_rules/match_within
-call, that rejects a node before any generator is made: the node kinds
-the pattern can match, the length of the run it spans, and the literals
-and names its sequence, production or alternative items spell out, which
-the run's direct children must hold.  A rule pattern with a named symbol
-reads that rule from the tree's rule_index instead of scanning every
-rule.  Gates are necessary conditions only, so they change neither the
-matched nodes nor their bindings.  A pattern whose literals are all
-present still explores every gap split on failure (O(L^k) for k gaps).
+call, that rejects a node before any search starts: the node kinds the
+pattern can match, the length of the run it spans, and the literals,
+names and iterations its sequence, production or alternative items
+spell out, which the run's direct children must hold.  A rule pattern
+with a named symbol reads that rule from the tree's rule_index instead
+of scanning every rule.  Gates are necessary conditions only, so they
+change neither the matched nodes nor their bindings.  A pattern whose
+literals are all present still explores every gap split on failure
+(O(L^k) for k gaps).
 """
 
 from __future__ import annotations
@@ -426,189 +426,151 @@ def _bind(env, var, nodes, kinds, at_ref=False):
     return {**env, var: existing | frozenset(nodes)}
 
 
-class _Matcher:
-    """Backtracking matcher over one variable-kind map.
+# the node kind a pattern of this type needs, and the field of the pattern
+# that the node's detail must equal (None: any detail)
+_LEAF = {AnySym: (g.SYMBOL_REF, None), Named: (g.SYMBOL_REF, "name"),
+         LitPat: (g.LITERAL, "text"), AnyLex: (g.LITERAL, None),
+         EmptyPat: (g.EMPTY, None), IterPat: (g.ITERATION, "kind")}
 
-    Every generator yields extended environments (var -> frozenset of
-    GtNode) in the documented deterministic order.
+_RUN_KINDS = (g.SEQUENCE, g.PRODUCTION)
+_ONE, _ITEMS, _GAP, _BIND, _PICK = range(5)  # goal tags, see _search
+
+
+def _search(kinds, goals, env):
+    """The first env (var -> frozenset of GtNode), in the documented order,
+    under which every goal on the linked list goals = (goal, rest) holds;
+    None if there is none.  The goals:
+
+      (_ONE, pat, node)             pat matches exactly this node
+      (_ITEMS, items, i, run, j)    items[i:] match run[j:]
+      (_GAP, items, i, run, j, k)   the gap items[i] absorbs run[j:k] or more
+      (_BIND, var, nodes, at_ref)   _bind succeeds
+      (_PICK, members, rest, branches, i, k, taken)
+                                    members[i:] match distinct branches k..
+                                    in order; a RestPat rest binds the others
+
+    A goal with one way forward rewrites (goals, env) in place.  A goal
+    with several takes the first and pushes itself, advanced to the next
+    way (k + 1), with the env it started from; a failure resumes the top
+    of the stack.  So nothing recurses, however deep patterns nest.
     """
-
-    def __init__(self, kinds):
-        self.kinds = kinds
-
-    def rule(self, rp: RulePattern, symdef, env):
-        if isinstance(rp.symbol, Named) and symdef.detail != rp.symbol.name:
-            return
-        if rp.var is not None:
-            env = _bind(env, rp.var, (symdef,), self.kinds)
-            if env is None:
-                return
-        pats = rp.productions
-        prods = symdef.children
-        if not pats:
-            yield env
-        elif len(pats) == 1 and isinstance(pats[0], ProdsWildcard):
-            env = _bind(env, pats[0].var, prods, self.kinds) if pats[0].var else env
+    stack = []
+    while True:
+        if goals is None:
+            return env
+        goal, goals = goals
+        tag = goal[0]
+        if tag == _ONE:
+            _, pat, node = goal
+            t = type(pat)
+            leaf = _LEAF.get(t)
+            if leaf is not None:
+                if node.kind == leaf[0] and (leaf[1] is None or
+                                             node.detail == getattr(pat, leaf[1])):
+                    if t is IterPat:
+                        goals = ((_ONE, pat.inner, node.children[0]), goals)
+                    continue
+            elif t is Bind:
+                goals = ((_ONE, pat.inner, node), ((_BIND, pat.name, (node,), False), goals))
+                continue
+            elif t is VarRef:
+                goals = ((_BIND, pat.name, (node,), True), goals)
+                continue
+            elif t is Gap:
+                continue
+            elif t is SeqPat:
+                # a multi-element pattern reads a node's children as its run;
+                # any other node stands for the one-element run (a '..' may
+                # then absorb nothing, mirroring grammar normalization)
+                run = node.children if node.kind in _RUN_KINDS else (node,)
+                goals = ((_ITEMS, pat.items, 0, run, 0), goals)
+                continue
+            elif t is AltPat and node.kind == g.ALTERNATIVE:
+                # '...' stands for at least one branch besides the members' own
+                size, n = len(pat.members) + (pat.rest is not None), len(node.children)
+                if size == n or pat.rest and size < n:
+                    goals = ((_PICK, pat.members, pat.rest, node.children, 0, 0, 0), goals)
+                    continue
+            elif t is ProdPat and node.kind == g.PRODUCTION:
+                goals = ((_ITEMS, _as_items(pat.body), 0, node.children, 0), goals)
+                if pat.var is not None:
+                    goals = ((_BIND, pat.var, (node,), False), goals)
+                continue
+            # anything else fails; ProdsWildcard never matches one node
+        elif tag == _ITEMS:
+            _, items, i, run, j = goal
+            if i < len(items):
+                item = items[i]
+                if type(item.inner if type(item) is Bind else item) is Gap:
+                    goals = ((_GAP, items, i, run, j, j), goals)  # shortest first
+                    continue
+                if j < len(run):
+                    goals = ((_ONE, item, run[j]), ((_ITEMS, items, i + 1, run, j + 1), goals))
+                    continue
+            elif j == len(run):
+                continue
+        elif tag == _GAP:
+            _, items, i, run, j, k = goal
+            if k < len(run):
+                stack.append(((goal[:5] + (k + 1,), goals), env))
+            goals = ((_ITEMS, items, i + 1, run, k), goals)
+            if type(items[i]) is Bind:
+                env = _bind(env, items[i].name, tuple(run[j:k]), kinds)
             if env is not None:
-                yield env
-        elif len(pats) <= len(prods):
-            yield from self._prods(pats, prods, 0, env)
-
-    def _prods(self, pats, prods, j, env):
-        # order-preserving injection of patterns into productions
-        if not pats:
-            yield env
-            return
-        head, tail = pats[0], pats[1:]
-        for k in range(j, len(prods) - len(tail)):
-            for env2 in self._production(head, prods[k], env):
-                yield from self._prods(tail, prods, k + 1, env2)
-
-    def _production(self, p, prod, env):
-        if isinstance(p, ProdsWildcard):  # never matches as one production
-            return
-        if p.var is not None:
-            env = _bind(env, p.var, (prod,), self.kinds)
-            if env is None:
-                return
-        yield from self._items(_as_items(p.body), prod.children, env)
-
-    def one(self, pat, node, env):
-        """Match pat against exactly this node."""
-        if isinstance(pat, Bind):
-            for e in self.one(pat.inner, node, env):
-                e2 = _bind(e, pat.name, (node,), self.kinds)
-                if e2 is not None:
-                    yield e2
-        elif isinstance(pat, VarRef):
-            e2 = _bind(env, pat.name, (node,), self.kinds, at_ref=True)
-            if e2 is not None:
-                yield e2
-        elif isinstance(pat, Gap):
-            yield env
-        elif isinstance(pat, AnySym):
-            if node.kind == g.SYMBOL_REF:
-                yield env
-        elif isinstance(pat, Named):
-            if node.kind == g.SYMBOL_REF and node.detail == pat.name:
-                yield env
-        elif isinstance(pat, LitPat):
-            if node.kind == g.LITERAL and node.detail == pat.text:
-                yield env
-        elif isinstance(pat, AnyLex):
-            if node.kind == g.LITERAL:
-                yield env
-        elif isinstance(pat, EmptyPat):
-            if node.kind == g.EMPTY:
-                yield env
-        elif isinstance(pat, IterPat):
-            if node.kind == g.ITERATION and node.detail == pat.kind:
-                yield from self.one(pat.inner, node.children[0], env)
-        elif isinstance(pat, SeqPat):
-            # a multi-element pattern reads a node's children as its run;
-            # any other node stands for the one-element run (a '..' may
-            # then absorb nothing, mirroring grammar normalization)
-            run = node.children if node.kind in (g.SEQUENCE, g.PRODUCTION) else (node,)
-            yield from self._items(pat.items, run, env)
-        elif isinstance(pat, AltPat):
-            if node.kind == g.ALTERNATIVE:
-                yield from self._alt(pat, node, env)
-        elif isinstance(pat, ProdPat):
-            if node.kind == g.PRODUCTION:
-                yield from self._production(pat, node, env)
-        # ProdsWildcard matches nothing as a standalone pattern
-
-    def _items(self, items, run, env):
-        def rec(i, j, env):
-            if i == len(items):
-                if j == len(run):
-                    yield env
-                return
-            item = items[i]
-            core = item.inner if isinstance(item, Bind) else item
-            if isinstance(core, Gap):
-                var = item.name if isinstance(item, Bind) else None
-                for k in range(j, len(run) + 1):  # shortest absorption first
-                    env2 = env if var is None else _bind(env, var, tuple(run[j:k]), self.kinds)
-                    if env2 is None:
-                        continue
-                    yield from rec(i + 1, k, env2)
-            elif j < len(run):
-                for env2 in self.one(item, run[j], env):
-                    yield from rec(i + 1, j + 1, env2)
-
-        yield from rec(0, 0, env)
-
-    def _alt(self, ap: AltPat, node, env):
-        branches = node.children
-        members = ap.members
-        if ap.rest is None:
-            if len(members) != len(branches):
-                return
-
-            def cover(i, env):
-                if i == len(members):
-                    yield env
-                    return
-                for e2 in self.one(members[i], branches[i], env):
-                    yield from cover(i + 1, e2)
-
-            yield from cover(0, env)
-            return
-        if len(members) >= len(branches):  # '...' needs at least one branch
-            return
-
-        def pick(i, j, taken, env):
+                continue
+        elif tag == _BIND:
+            env = _bind(env, goal[1], goal[2], kinds, goal[3])
+            if env is not None:
+                continue
+        else:  # _PICK; taken has a bit per branch that a member holds
+            _, members, rest, branches, i, k, taken = goal
+            last = len(branches) - len(members) + i
             if i == len(members):
-                rest = tuple(b for k, b in enumerate(branches) if k not in taken)
-                env2 = env if ap.rest.var is None else _bind(env, ap.rest.var, rest, self.kinds)
-                if env2 is not None:
-                    yield env2
-                return
-            for k in range(j, len(branches) - (len(members) - i) + 1):
-                for e2 in self.one(members[i], branches[k], env):
-                    yield from pick(i + 1, k + 1, taken | {k}, e2)
-
-        yield from pick(0, 0, frozenset(), env)
+                if rest is None or rest.var is None:
+                    continue
+                env = _bind(env, rest.var, tuple(
+                    b for n, b in enumerate(branches) if not taken >> n & 1), kinds)
+                if env is not None:
+                    continue
+            elif k <= last:
+                if k < last:
+                    stack.append(((goal[:5] + (k + 1, taken), goals), env))
+                goals = ((_ONE, members[i], branches[k]),
+                         (goal[:4] + (i + 1, k + 1, taken | 1 << k), goals))
+                continue
+        if not stack:
+            return None
+        goals, env = stack.pop()
 
 
 def _as_items(body) -> tuple:
     return body.items if isinstance(body, SeqPat) else (body,)
 
 
-def _key(pat):
-    """(kind, detail) of every node a literal or name pattern matches."""
+def _leaf(pat):
+    """(kind, detail) of every node a leaf pattern matches, detail None for
+    any; None for other patterns."""
     core = pat.inner if isinstance(pat, Bind) else pat
-    if isinstance(core, LitPat):
-        return (g.LITERAL, core.text)
-    if isinstance(core, Named):
-        return (g.SYMBOL_REF, core.name)
-    return None
-
-
-_WILDCARD_KIND = {AnySym: g.SYMBOL_REF, AnyLex: g.LITERAL, EmptyPat: g.EMPTY}
+    kind, name = _LEAF.get(type(core), (None, None))
+    return None if kind is None else (kind, name and getattr(core, name))
 
 
 def _gate(pat):
-    """A necessary condition for _Matcher.one(pat, node, env) to yield, as
-    a predicate on the node; None when any node may match."""
+    """A necessary condition for _search to match pat on a node, as a
+    predicate on the node; None when any node may match."""
     core = pat.inner if isinstance(pat, Bind) else pat
-    key = _key(core)
-    if key is not None:
-        kind, detail = key
+    leaf = _leaf(core)
+    if leaf is not None:
+        kind, detail = leaf
+        if detail is None:
+            return lambda node: node.kind == kind
         return lambda node: node.detail == detail and node.kind == kind
-    if isinstance(core, IterPat):
-        return lambda node: node.kind == g.ITERATION and node.detail == core.kind
-    if type(core) in _WILDCARD_KIND:
-        kind = _WILDCARD_KIND[type(core)]
-        return lambda node: node.kind == kind
     if isinstance(core, AltPat):
-        # '...' stands for at least one branch besides the members' own
         members, kinds, lone = core.members, (g.ALTERNATIVE,), False
         size, exact = len(members) + (core.rest is not None), core.rest is None
     elif isinstance(core, (SeqPat, ProdPat)):
         if isinstance(core, SeqPat):  # a lone node is a one-element run
-            members, kinds, lone = core.items, (g.SEQUENCE, g.PRODUCTION), True
+            members, kinds, lone = core.items, _RUN_KINDS, True
         else:
             members, kinds, lone = _as_items(core.body), (g.PRODUCTION,), False
         gaps = sum(isinstance(m.inner if isinstance(m, Bind) else m, Gap)
@@ -616,7 +578,8 @@ def _gate(pat):
         size, exact = len(members) - gaps, not gaps
     else:
         return None  # Gap and VarRef match any node; ProdsWildcard none
-    needs = {k for k in map(_key, members) if k is not None}
+    # the literals and names the run's direct children must hold
+    needs = {leaf for leaf in map(_leaf, members) if leaf and leaf[1] is not None}
 
     def gate(node):
         if node.kind in kinds:
@@ -633,12 +596,6 @@ def _gate(pat):
     return gate
 
 
-def _first(iterator):
-    for env in iterator:
-        return env
-    return None
-
-
 def _result(node, env) -> MatchResult:
     return MatchResult(node.id, {v: frozenset(n.id for n in s)
                                  for v, s in env.items() if s})
@@ -651,19 +608,25 @@ def match_rules(pattern: RulePattern, tree: g.GrammarTree) -> list[MatchResult]:
     tried only when each production pattern's gate passes some production,
     in order.
     """
-    m = _Matcher(pattern.var_kinds)
     if isinstance(pattern.symbol, Named):
         symdef = tree.rule_index.get(pattern.symbol.name)
         rules = () if symdef is None else (symdef,)
     else:
         rules = tree.root.children
-    gates = [_gate(p) for p in pattern.productions
-             if not isinstance(p, ProdsWildcard)]
+    pats = pattern.productions
+    gates = [_gate(p) for p in pats if not isinstance(p, ProdsWildcard)]
     out = []
     for symdef in rules:
         if gates and not _in_order(gates, symdef.children):
             continue
-        env = _first(m.rule(pattern, symdef, {}))
+        if len(pats) == 1 and type(pats[0]) is ProdsWildcard:
+            goals = None if pats[0].var is None else \
+                ((_BIND, pats[0].var, symdef.children, False), None)
+        else:
+            goals = ((_PICK, pats, None, symdef.children, 0, 0, 0), None)
+        if pattern.var is not None:
+            goals = ((_BIND, pattern.var, (symdef,), False), goals)
+        env = _search(pattern.var_kinds, goals, {})
         if env is not None:
             out.append(_result(symdef, env))
     return out
@@ -690,13 +653,13 @@ def match_within(pattern, scope: g.GtNode, kinds: dict | None = None,
     kinds and bindings carry enclosing variable definitions and their
     already-bound nodes when patterns nest.
     """
-    m = _Matcher(kinds if kinds is not None else collect_vars(pattern))
+    kinds = kinds if kinds is not None else collect_vars(pattern)
     env0 = dict(bindings or {})
     gate = _gate(pattern)
     nodes = g.descendants(scope)
     out = []
     for node in nodes if gate is None else filter(gate, nodes):
-        env = _first(m.one(pattern, node, env0))
+        env = _search(kinds, ((_ONE, pattern, node), None), env0)
         if env is not None:
             out.append(_result(node, env))
     return out

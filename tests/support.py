@@ -1156,12 +1156,13 @@ _TERMINALS = ["ID", "NUM", "STR"]
 _LITERALS = ["x", "y", "+", "<", ";"]
 
 
-def random_grammar_text(rng: random.Random) -> str:
+def random_grammar_text(rng: random.Random, max_depth: int = 2) -> str:
+    """Up to four rules; groups of alternatives nest max_depth deep."""
     names = _RULE_NAMES[:rng.randint(1, 4)]
 
     def atom(depth: int) -> str:
         roll = rng.random()
-        if depth < 2 and roll < 0.15:
+        if depth < max_depth and roll < 0.15:
             inner = " | ".join(seq(depth + 1) for _ in range(rng.randint(2, 3)))
             return f"({inner})"
         if roll < 0.35:
@@ -1189,21 +1190,25 @@ def random_grammar_text(rng: random.Random) -> str:
     return "\n".join(rules)
 
 
-def random_grammar(rng: random.Random, max_nodes: int = 50) -> G.GrammarTree:
+def random_grammar(rng: random.Random, max_nodes: int = 50,
+                   max_depth: int = 2) -> G.GrammarTree:
     while True:
-        tree = G.parse_grammar(random_grammar_text(rng), "<random>")
+        tree = G.parse_grammar(random_grammar_text(rng, max_depth), "<random>")
         if len(tree.by_id) <= max_nodes:
             return tree
 
 
-def random_rule_pattern_text(rng: random.Random) -> str:
+def _random_sequence(rng: random.Random, max_depth: int, defined: list,
+                     prefix: str):
+    """seq(depth): a random sequence pattern whose groups nest max_depth
+    deep.  It may refer to the variables in defined, and appends the ones
+    it defines there, named prefix1, prefix2, ..."""
     var_count = 0
-    defined = []
 
     def fresh_var() -> str:
         nonlocal var_count
         var_count += 1
-        return f"v{var_count}"
+        return f"{prefix}{var_count}"
 
     def atom(depth: int) -> str:
         roll = rng.random()
@@ -1215,7 +1220,7 @@ def random_rule_pattern_text(rng: random.Random) -> str:
             return "#"
         if roll < 0.36:
             return "#empty"
-        if depth < 2 and roll < 0.46:
+        if depth < max_depth and roll < 0.46:
             inner = " | ".join(seq(depth + 1) for _ in range(rng.randint(1, 2)))
             if rng.random() < 0.3:
                 inner += " | ..."
@@ -1243,11 +1248,23 @@ def random_rule_pattern_text(rng: random.Random) -> str:
     def seq(depth: int) -> str:
         return " ".join(item(depth) for _ in range(rng.randint(1, 3)))
 
+    return seq
+
+
+def random_rule_pattern_text(rng: random.Random, max_depth: int = 2) -> str:
+    seq = _random_sequence(rng, max_depth, [], "v")
     symbol = rng.choice(["#"] * 2 + _RULE_NAMES)
     if rng.random() < 0.15:
         return f"{symbol} : {{...}}"
     prods = [seq(0) for _ in range(rng.randint(1, 2))]
     return f"{symbol} : " + " : ".join(prods)
+
+
+def random_subpattern_text(rng: random.Random, outer, max_depth: int = 2) -> str:
+    """A sequence or production pattern that may refer to the variables
+    named in outer (an enclosing pattern's) and defines w1, w2, ..."""
+    seq = _random_sequence(rng, max_depth, list(outer), "w")
+    return rng.choice(["", ": "]) + seq(0)
 
 
 def long_grammar_text(rng: random.Random, max_items: int = 40) -> str:

@@ -151,6 +151,20 @@ class TestWeave:
         assert code2 == 0
         assert out_path.read_text(encoding="utf-8") == out
 
+    @pytest.mark.parametrize("value, kind", [
+        ("{ b = " * 1000 + "x" + " }" * 1000, "record"),
+        ("{{ " * 1000 + "x" + " }}" * 1000, "seq"),
+    ], ids=["record", "seq"])
+    def test_deep_annotation_value(self, capsys, tmp_path, default_recursion_limit,
+                                   value, kind):
+        aspect = tmp_path / "deep.aspect"
+        aspect.write_text(f"factor : {{...}} @INT: {{ a = {value} }} ; ;\n",
+                          encoding="utf-8")
+        out_path = tmp_path / "store.json"
+        code, out, err = run(capsys, "weave", ARITH, "-a", str(aspect), "-o", str(out_path))
+        assert (code, out, err) == (0, "", "")
+        assert out_path.read_text(encoding="utf-8").count(f'"type": "{kind}"') == 1000
+
     def test_byte_deterministic(self, capsys, tmp_path):
         paths = [tmp_path / "one.json", tmp_path / "two.json"]
         for path in paths:

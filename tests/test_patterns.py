@@ -1,14 +1,17 @@
 import random
+import re
 
 import pytest
 
 from gramweave import (NotationError, match_rules, match_within, parse_grammar,
                        parse_rule_pattern, parse_subpattern)
+from gramweave import patterns
 from gramweave.patterns import (AnySym, Bind, IterPat, Named, ProdsWildcard,
-                                RulePattern, VarRef, _Matcher)
+                                RulePattern, VarRef, collect_vars)
 from bruteforce import brute_force_match, brute_force_within
 from support import (gap_sequence_text, long_grammar_text, random_grammar,
-                     random_rule_pattern_text, results_as_sets)
+                     random_rule_pattern_text, random_subpattern_text,
+                     results_as_sets)
 
 
 def matched_rules(tree, results):
@@ -191,6 +194,46 @@ class TestBruteForceOracle:
             agreed += 1
         assert agreed >= 40
 
+    # outer rule patterns that match often and bind several variables
+    BINDING = ["# : $a=# ..", "# : .. $x=#lex ..", "$r=# : $p=..",
+               "# : $s=.. $t=# $u=..", "# : $a=(..)* ..", "# : .. ($x=#lex | $r=...) .."]
+
+    def test_nested_scopes_agree(self):
+        # subpatterns matched within an outer match, under its variable
+        # kinds and bindings, as the weaver nests them; grammars and random
+        # patterns nest groups four deep
+        rng = random.Random(19920)
+        deep = scopes = matched = referenced = rests = 0
+        for _ in range(600):
+            tree = random_grammar(rng, max_nodes=80, max_depth=4)
+            text = rng.choice(self.BINDING + [None])
+            try:
+                pat = parse_rule_pattern(text or random_rule_pattern_text(rng, max_depth=4))
+            except NotationError:
+                continue
+            got = match_rules(pat, tree)
+            assert results_as_sets(got) == results_as_sets(brute_force_match(pat, tree))
+            deep += text is None
+            rests += sum("r" in m.bindings for m in got if "..." in (text or ""))
+            for m in [m for m in got for _ in range(3)]:
+                text = random_subpattern_text(rng, pat.var_kinds, max_depth=4)
+                try:
+                    sub = parse_subpattern(text)
+                    kinds = {**pat.var_kinds, **collect_vars(sub, pat.var_kinds)}
+                except NotationError:
+                    continue
+                env = {v: frozenset(tree.by_id[i] for i in ids)
+                       for v, ids in m.bindings.items()}
+                scope = tree.by_id[m.node]
+                within = match_within(sub, scope, kinds, env)
+                assert results_as_sets(within) == \
+                    results_as_sets(brute_force_within(sub, scope, kinds, env)), text
+                scopes += 1
+                matched += bool(within)
+                referenced += bool(within and set(re.findall(r"\$(\w+)", text)) & set(env))
+        assert deep >= 60 and scopes >= 1200 and matched >= 150 and referenced >= 25
+        assert rests >= 10
+
 
 class TestGate:
     """Gates reject nodes before matching; results still equal brute force."""
@@ -223,13 +266,13 @@ class TestGate:
         tree = parse_grammar("b : B ;\n" + "\n".join(
             f"r{i} : {items} ;" for i in range(20)))
         calls = []
-        items_method = _Matcher._items
+        search = patterns._search
 
-        def counted(self, *args):
+        def counted(*args):
             calls.append(args)
-            return items_method(self, *args)
+            return search(*args)
 
-        monkeypatch.setattr(_Matcher, "_items", counted)
+        monkeypatch.setattr(patterns, "_search", counted)
         pat = parse_rule_pattern("# : .. A .. A .. A .. A .. 'z'")
         assert match_rules(pat, tree) == []
         sub = parse_subpattern(": .. A .. A .. A .. A .. 'z'")

@@ -6,16 +6,20 @@ here with RecursionError.
 """
 
 import gc
+import json
+import sys
 from collections import Counter
 
 import pytest
 
-from gramweave import (Attribute, IntValue, Multiplicity, NameValue, ParseLeaf,
-                       ParseNode, PunctValue, RecordValue, SeqValue, Token,
-                       WeaveFailure, assign_groups, format_tree, leaves,
-                       parse_annotation, parse_aspect, parse_grammar,
-                       parse_input, parse_lexer_spec, render_ansi,
-                       serialize_grammar, strip_ansi, token_contexts, tokenize,
+from gramweave import (Attribute, IntValue, Multiplicity, NameValue,
+                       NotationError, ParseLeaf, ParseNode, PunctValue,
+                       RecordValue, SeqValue, Token, WeaveFailure,
+                       assign_groups, deserialize_store, format_tree, leaves,
+                       match_rules, parse_annotation, parse_aspect,
+                       parse_grammar, parse_input, parse_lexer_spec,
+                       parse_rule_pattern, render_ansi, serialize_grammar,
+                       serialize_store, strip_ansi, token_contexts, tokenize,
                        weave)
 from gramweave.earley import _Extractor
 from gramweave.grammar import descendants
@@ -23,7 +27,7 @@ from gramweave.patterns import Bind, LitPat, VarRef
 from support import (chain_arith_text, context_lists, deep_grammar_text,
                      java_class_text, nested_arith_text, nested_iteration_text, oracle_parse,
                      reference_format, reference_serialize_grammar,
-                     step_counts, tree_difference)
+                     reference_serialize_store, step_counts, tree_difference)
 
 pytestmark = pytest.mark.usefixtures("default_recursion_limit")
 
@@ -233,6 +237,46 @@ class TestNotation:
             assert dot == PunctValue(".") and isinstance(value, SeqValue)
         assert value == SeqValue((PunctValue("."), NameValue("x")))
 
+    @staticmethod
+    def deep_values(depth):
+        """A record and a {{ }} value nested depth deep, each as annotation
+        text and as the JSON a store document holds for it."""
+        record, seq = {"type": "int", "value": 1}, {"type": "name", "name": "x"}
+        dot = {"type": "punct", "char": "."}
+        seq = {"type": "seq", "items": [dot, seq]}
+        for _ in range(depth - 1):
+            record = {"type": "record", "attributes": [
+                {"namespace": None, "name": "a", "value": record}]}
+            seq = {"type": "seq", "items": [dot, seq]}
+        return [("{ a = " * depth + "1" + " }" * depth, record),
+                ("{ a = " + "{{ . " * depth + "x" + " }}" * depth + " }", seq)]
+
+    @pytest.mark.parametrize("depth", [250, 1000])
+    def test_deep_values_serialize(self, depth):
+        # the writer keeps a stack; json.loads recurses per JSON level, so a
+        # store reads back only up to about 330 record levels
+        tree = parse_grammar("s : ID ;")
+        for text, want in self.deep_values(depth):
+            store = weave(tree, [parse_aspect(f"s : {{...}} @ID: {text} ; ;")])
+            blob = serialize_store(store)
+            if depth == 250:
+                assert serialize_store(deserialize_store(blob)) == blob
+            else:
+                with pytest.raises(NotationError, match="nests too deep"):
+                    deserialize_store(blob)
+            sys.setrecursionlimit(20000)  # for the oracles, which recurse
+            if depth == 250:
+                assert blob == reference_serialize_store(store)
+            else:  # the value, and every line indented as deep as it nests
+                assert json.loads(blob)["annotations"][0]["value"] == want
+                level = 0
+                for line in blob.splitlines():
+                    body = line.lstrip(" ")
+                    level -= body[0] in "]}"
+                    assert len(line) - len(body) == 2 * level
+                    level += body[-1] in "[{"
+            sys.setrecursionlimit(1000)
+
     def test_deep_pattern(self):
         # each level binds a variable over an alternative whose second
         # member is the next level; the innermost one refers to the first
@@ -248,10 +292,30 @@ class TestNotation:
             first, node = node.inner.members
             assert first == LitPat("x") and node is not None
         assert node == VarRef("v0")
+        # the grammar of the same shape: alternative k is node 3 + 2k; the
+        # reference binds $v0 to ID before its definition adds the outermost
+        depth = self.depth
+        tree = parse_grammar("s : " + "('x' | " * depth + "ID" + ")" * depth + " ;")
+        (m,) = match_rules(pattern, tree)
+        assert m.bindings == {"v0": {3, 2 * depth + 3},
+                              **{f"v{k}": {3 + 2 * k} for k in range(1, depth)}}
+        store = weave(tree, [parse_aspect(text + " @ID: { g = x } ;")])
+        assert list(store.annotated_nodes()) == [2 * depth + 3]
+
+    def test_deep_rest_pattern(self):
+        # each level is ('a' | next level | 'z'), and '...' takes its 'z'
+        depth = self.depth
+        tree = parse_grammar("s : " + "('a' | " * depth + "ID" + " | 'z')" * depth + " ;")
+        text = "s : " + "('a' | " * depth + "ID" + \
+            "".join(f" | $r{k}=...)" for k in reversed(range(depth)))
+        (m,) = match_rules(parse_rule_pattern(text), tree)
+        # the 'z' of level k follows ID (node 2 * depth + 3), innermost first
+        assert m.bindings == {f"r{k}": {3 + 3 * depth - k} for k in range(depth)}
+        store = weave(tree, [parse_aspect(text + " @ID: { g = x } ;")])
+        assert list(store.annotated_nodes()) == [2 * depth + 3]
 
     def test_deep_iteration_pattern_weaves(self):
-        # a pattern 400 deep: _Matcher.one still recurses per level
-        depth = 400
+        depth = self.depth
         aspect = parse_aspect(f"s : {nested_iteration_text(depth, '..')} @ID: {{ g = x }} ;")
         store = weave(parse_grammar(deep_grammar_text(depth)), [aspect])
         assert list(store.annotated_nodes()) == [depth + 3]
