@@ -442,13 +442,11 @@ def _value_from_json(data) -> Optional[Value]:
             built = values[len(values) - len(parts):]
             del values[len(values) - len(parts):]
             values.append(SeqValue(tuple(built)) if kind == "seq" else RecordValue(
-                Annotation(tuple(Attribute(a["name"], a["namespace"], v)
-                                 for a, v in zip(parts, built)))))
+                Annotation(tuple(map(_attribute, parts, built)))))
         elif kind in _SCALAR_FIELDS:
             cls, name = _SCALAR_FIELDS[kind]
-            if cls is IntValue:
-                _checked(item[name], _is_int, "an int value")
-            values.append(cls(item[name]))
+            values.append(cls(_checked(item[name], _is_int if cls is IntValue else _is_str,
+                                       f"a value of type {kind!r}")))
         elif item is None:
             values.append(None)
         else:
@@ -590,6 +588,10 @@ def _is_span(value) -> bool:
     return _is_int_list(value) and len(value) == 2
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
 def _is_text(value) -> bool:
     return value is None or isinstance(value, str)
 
@@ -598,6 +600,12 @@ def _checked(value, test, what: str):
     if not test(value):
         raise NotationError(f"{what} in store document is malformed: {value!r}")
     return value
+
+
+def _attribute(entry, value: Optional[Value]) -> Attribute:
+    """The attribute a store document's entry names, holding value."""
+    return Attribute(_checked(entry["name"], _is_str, "an attribute name"),
+                     _checked(entry["namespace"], _is_text, "an attribute namespace"), value)
 
 
 def deserialize_store(text: str) -> AnnotationStore:
@@ -616,18 +624,22 @@ def deserialize_store(text: str) -> AnnotationStore:
         for entry in doc["grammar"]["nodes"]:
             span = _checked(entry["span"], _is_span, "a node span")
             children = _checked(entry["children"], _is_int_list, "a node's children")
-            nodes[entry["id"]] = NodeMeta(_checked(entry["kind"], _is_text, "a node kind"),
-                                          _checked(entry["detail"], _is_text, "a node detail"),
-                                          tuple(span), tuple(children))
-        store = AnnotationStore(nodes, doc["grammar"]["root"])
+            nodes[_checked(entry["id"], _is_int, "a node id")] = NodeMeta(
+                _checked(entry["kind"], _is_text, "a node kind"),
+                _checked(entry["detail"], _is_text, "a node detail"), tuple(span), tuple(children))
+        store = AnnotationStore(nodes, _checked(doc["grammar"]["root"],
+                                                lambda r: _is_int(r) and r in nodes,
+                                                "the grammar root"))
         for entry in doc["annotations"]:
-            if entry["node"] not in nodes:
+            if not _is_int(entry["node"]) or entry["node"] not in nodes:
                 raise NotationError(f"annotation on unknown node {entry['node']!r} "
                                     "in store document")
             prov = entry.get("provenance")
-            provenance = Provenance(prov["aspect"], prov["rule"]) if prov else None
-            attr = Attribute(entry["name"], entry["namespace"],
-                             _value_from_json(entry["value"]))
+            provenance = Provenance(
+                _checked(prov["aspect"], _is_int, "a provenance aspect"),
+                _checked(prov["rule"], lambda r: r is None or _is_int(r), "a provenance rule"),
+            ) if prov else None
+            attr = _attribute(entry, _value_from_json(entry["value"]))
             store.attach(entry["node"], Annotation((attr,)), provenance)
     except KeyError as exc:
         raise NotationError(f"store document lacks the field {exc}") from None

@@ -16,8 +16,9 @@ kept while the tree lives.  The recognizer's items are ints; it indexes
 the items of each Earley set by the nonterminal they wait on, so a
 completion advances just those items, and a prediction looks one token
 ahead, so it adds only the productions that can start with that token or
-that the chart needs for an empty completion.  The one extractor reads
-split points from the chart instead of searching for them (Scott,
+that the chart needs for an empty completion.  The chart is one table of
+completions by end, nonterminal and origin, and the one extractor reads
+split points from it instead of searching for them (Scott,
 *SPPF-style parsing from Earley recognisers*, 2008), and checks the
 cycle clause only where a cycle of unit links makes it matter.
 
@@ -431,21 +432,20 @@ def _token_codes(cg: _Compiled, tokens: List[Token]) -> List[int]:
 def _recognize(cg: _Compiled, start: int, tokens: List[Token], codes: List[int]):
     """Run the recognizer; return the chart's completions or raise ParseError.
 
-    Completions come back as two tables over nonterminal indexes:
-    `ends[nt * (n + 1) + origin]` maps each end, in ascending order, to
-    the bit set of the nonterminal's productions that derive the tokens
-    from origin to that end, and `origins[end][nt]` lists those origins.
-    An item is the int `state * (n + 1) + origin`, so advancing its dot
-    adds n + 1.  An Earley set is dropped once the next one is built, and
-    only the items waiting on a nonterminal stay, indexed by that
-    nonterminal, until the parse ends.
+    The chart is one table, `chart[end][nt]`, that maps each origin, in
+    the order its first completion came, to the bit set of nt's
+    productions that derive the tokens from that origin to end.  An item
+    is the int `state * (n + 1) + origin`, so advancing its dot adds
+    n + 1.  An Earley set is dropped once the next one is built, and only
+    the items waiting on a nonterminal stay, indexed by that nonterminal,
+    until the parse ends.
 
     A prediction looks one token ahead (`_Compiled.predicted`).  The
-    productions it leaves out could add nothing to either table: they can
-    neither scan the token nor lead to a completion before it.  So both tables
-    hold exactly what predicting every production would give.  A failure
-    reports what such a set would expect: the terminals after a dot in the
-    set, and the FIRST sets of the nonterminals predicted in it.
+    productions it leaves out could add nothing to the chart: they can
+    neither scan the token nor lead to a completion before it.  So the
+    chart holds exactly what predicting every production would give.  A
+    failure reports what such a set would expect: the terminals after a
+    dot in the set, and the FIRST sets of the nonterminals predicted in it.
 
     Only an item whose dot follows a nonterminal can be reached twice in
     one set, by a completion or by skipping a nullable nonterminal, so only
@@ -456,16 +456,15 @@ def _recognize(cg: _Compiled, start: int, tokens: List[Token], codes: List[int])
     after, lhs, bit, skip = cg.after, cg.lhs, cg.bit, cg.skip
     n = len(tokens)
     width = n + 1
-    ends: Dict[int, Dict[int, int]] = {}
-    origins: List[Dict[int, List[int]]] = []
+    chart: List[Dict[int, Dict[int, int]]] = []
     waiters: List[Dict[int, list]] = []  # per set: nonterminal -> advanced items
     items = [s * width for s in cg.predicted(codes[0] if n else 0)[start]]
     for i in range(width):
         seen = set()
         waiting: Dict[int, list] = {start: []} if i == 0 else {}
         waiters.append(waiting)
-        done: Dict[int, List[int]] = {}
-        origins.append(done)
+        done: Dict[int, Dict[int, int]] = {}
+        chart.append(done)
         code = codes[i] if i < n else 0
         predicted = cg.predicted(code)
         scanned = []
@@ -476,16 +475,13 @@ def _recognize(cg: _Compiled, start: int, tokens: List[Token], codes: List[int])
             if a is None:
                 nt = lhs[state]
                 origin = item - state * width
-                key = nt * width + origin
-                row = ends.get(key)
+                row = done.get(nt)
                 if row is None:
-                    row = ends[key] = {}
-                mask = row.get(i)
-                if mask is not None:  # an earlier production already advanced the waiters
-                    row[i] = mask | bit[state]
+                    row = done[nt] = {}
+                elif origin in row:  # an earlier production already advanced the waiters
+                    row[origin] |= bit[state]
                     continue
-                row[i] = bit[state]
-                done.setdefault(nt, []).append(origin)
+                row[origin] = bit[state]
                 for item in waiters[origin].get(nt, ()):
                     if item not in seen:
                         seen.add(item)
@@ -509,8 +505,8 @@ def _recognize(cg: _Compiled, start: int, tokens: List[Token], codes: List[int])
         if not scanned:
             break
         items = scanned
-    if i == n and n in ends.get(start * width, ()):
-        return ends, origins
+    if i == n and 0 in done.get(start, ()):
+        return chart
     if i < n:
         position = tokens[i].span[0]
         what = f"unexpected {tokens[i].display}"
@@ -536,26 +532,24 @@ class _Extractor:
     that lets the rest finish, in which no nonterminal derives a span from
     inside its own derivation of that same span.
 
-    Ends are read off the chart (`viable`).  Only a production with an
-    element in `_Compiled.loops` can break the cycle clause, so only the
-    nonterminals in `_Compiled.guarded` go through `choose`.  Every span
-    the chart completes has a derivation under the rule: cutting out a
-    repeat of a nonterminal over one span leaves one.
+    The chart is read by the end of a span only: an element's end is the
+    first viable position (`viable`) at which the chart completes it from
+    where it starts.  Only a production with an element in
+    `_Compiled.loops` can break the cycle clause, so only the nonterminals
+    in `_Compiled.guarded` go through `choose`.  Every span the chart
+    completes has a derivation under the rule: cutting out a repeat of a
+    nonterminal over one span leaves one.
     """
 
-    def __init__(self, cg: _Compiled, codes, ends, origins):
-        self.cg = cg
-        self.codes = codes
-        self.ends = ends
-        self.origins = origins
-        self.width = len(codes) + 1
+    def __init__(self, cg: _Compiled, codes, chart):
+        self.cg, self.codes, self.chart = cg, codes, chart
 
     def build(self, start: int) -> Tuple[tuple, TokenContexts]:
         """The derivation as ParseTree's step table, and its token contexts,
         in one pass: a step's row and opened ids are written as it opens,
         its stop and closed ids as it closes."""
-        cg, ends, width = self.cg, self.ends, self.width
-        after, starts, bit, gt, ref, size = cg.after, cg.starts, cg.bit, cg.gt, cg.ref, cg.size
+        cg, chart = self.cg, self.chart
+        after, starts, gt, ref, size = cg.after, cg.starts, cg.gt, cg.ref, cg.size
         heads, spines, guarded, loops = cg.heads, cg.spines, cg.guarded, cg.loops
         viable, choose = self.viable, self.choose
         tags: List[int] = []
@@ -576,10 +570,8 @@ class _Extractor:
                 inner = (lo, inner)
             else:
                 inner = None
-                mask = ends[nt * width + lo][hi]
-                for state in starts[nt]:
-                    if mask & bit[state]:
-                        break
+                mask = chart[hi][nt][lo]  # bit k stands for starts[nt][k]
+                state = starts[nt][(mask & -mask).bit_length() - 1]
                 m = size[state]
                 reach = viable(state, m, lo, hi) if m > 1 else None
             if at in spines:  # a repeat shares the row of the outermost one
@@ -601,7 +593,7 @@ class _Extractor:
         # of the next element, the position before it, the end of the span,
         # for a `choose` the start of the span and what is open over all of
         # it, and the frame's first row, or -1 for a repeat of an iteration
-        stack = [open_frame(start, 0, width - 1, _NONE, -1)]
+        stack = [open_frame(start, 0, len(self.codes), _NONE, -1)]
         while stack:
             frame = stack[-1]
             state, reach, at, pos, hi, inner, row = frame
@@ -623,11 +615,7 @@ class _Extractor:
                 if after[at + 1] is None:
                     end = hi
                 else:
-                    chart, targets = ends[a * width + pos], reach[at + 1 - state]
-                    if len(chart) <= len(targets):
-                        end = next(e for e in chart if e in targets)
-                    else:
-                        end = min(e for e in targets if e in chart)
+                    end = min(e for e in reach[at + 1 - state] if pos in chart[e].get(a, ()))
                 frame[2] = at + 1
                 frame[3] = end
                 whole = at in loops and pos == inner[0] and end == hi
@@ -653,8 +641,8 @@ class _Extractor:
 
     def viable(self, state: int, m: int, lo: int, hi: int) -> list:
         """Per element k > 0 of the production, the positions from which
-        elements k.. derive the tokens up to hi."""
-        after, codes, origins = self.cg.after, self.codes, self.origins
+        elements k.. derive the tokens up to hi, walking the chart back."""
+        after, codes, chart = self.cg.after, self.codes, self.chart
         out = [None] * (m + 1)
         out[m] = reach = {hi}
         for k in range(m - 1, 0, -1):
@@ -666,7 +654,7 @@ class _Extractor:
                         found.add(q - 1)
             else:
                 for q in reach:
-                    for o in origins[q].get(a, ()):
+                    for o in chart[q].get(a, ()):
                         if o >= lo:
                             found.add(o)
             out[k] = reach = found
@@ -682,9 +670,8 @@ class _Extractor:
         leaves a derivation: the members that do are a least fixpoint, so
         nothing searches and nothing recurses.
         """
-        ends, width = self.ends, self.width
-        others = [c for c in self.cg.guarded[nt]
-                  if c not in inner and hi in ends.get(c * width + lo, ())]
+        row = self.chart[hi]
+        others = [c for c in self.cg.guarded[nt] if c not in inner and lo in row.get(c, ())]
         derives: set = set()
         grew = True
         while grew:
@@ -698,10 +685,11 @@ class _Extractor:
     def split(self, nt: int, lo: int, hi: int, derives: set) -> Optional[tuple]:
         """The first production of nt over lo..hi in which every element of
         `loops` that takes all of lo..hi is in derives, with its viable
-        positions pinned to the first such split, or None."""
-        cg, ends, width = self.cg, self.ends, self.width
+        positions pinned to the first such split, or None.  The chart at hi
+        gives the productions and, with the viable positions, the ends."""
+        cg, chart = self.cg, self.chart
         after, loops = cg.after, cg.loops
-        mask = ends[nt * width + lo][hi]
+        mask = chart[hi][nt][lo]
         for state in cg.starts[nt]:
             if not mask & cg.bit[state]:
                 continue
@@ -717,11 +705,9 @@ class _Extractor:
             for j in range(first, -1, -1):
                 a, targets = after[state + j], reach[j + 1]
                 if a < 0:  # a terminal ends after one token, if it matches
-                    row = (lo + 1,) if self.codes[lo] == a else ()
+                    found = [lo + 1] if self.codes[lo] == a and lo + 1 in targets else ()
                 else:
-                    row = ends.get(a * width + lo, ())
-                found = sorted(e for e in targets if e > lo and e in row) \
-                    if len(targets) < len(row) else [e for e in row if e > lo and e in targets]
+                    found = sorted(e for e in targets if e > lo and lo in chart[e].get(a, ()))
                 for e in found:
                     if e < hi or state + j not in loops or a in derives:
                         reach[1:j + 2] = [{lo}] * j + [{e}]  # pins the ends of elements ..j
@@ -744,6 +730,6 @@ def parse_input(tree: g.GrammarTree, start: str, tokens: List[Token]) -> ParseTr
         cg = _compiled[tree] = _Compiled(tree)
     start_nt = tree.rule_index[start].id
     codes = _token_codes(cg, tokens)
-    ends, origins = _recognize(cg, start_nt, tokens, codes)
-    steps, contexts = _Extractor(cg, codes, ends, origins).build(start_nt)
+    chart = _recognize(cg, start_nt, tokens, codes)
+    steps, contexts = _Extractor(cg, codes, chart).build(start_nt)
     return ParseTree(tree, tokens, steps, contexts)

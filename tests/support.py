@@ -495,8 +495,8 @@ def rule_parse(tree: G.GrammarTree, start: str, tokens):
 # ---------------------------------------------------------------------------
 # Reference recognizer: the chart recognizer as it was before items became
 # ints and prediction looked ahead, verbatim.  It reads the same compiled
-# tables as earley._recognize and must return equal ends/origins and raise
-# equal ParseErrors.
+# tables as earley._recognize, and its ends/origins, read as one chart,
+# must equal the recognizer's; ParseErrors must be equal.
 
 
 def reference_recognize(cg, start: int, tokens, codes):

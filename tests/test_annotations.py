@@ -233,12 +233,31 @@ class TestSerialization:
         lambda doc: with_node(doc, children=[None]),
         lambda doc: with_node(doc, kind=3),
         lambda doc: with_node(doc, detail=["x"]),
+        lambda doc: with_node(doc, id="x"),
+        lambda doc: dict(doc, grammar=dict(doc["grammar"], root="x")),
+        lambda doc: dict(doc, grammar=dict(doc["grammar"], root=99)),
+        lambda doc: with_annotation(doc, node=True),
+        lambda doc: with_annotation(doc, name=3),
+        lambda doc: with_annotation(doc, name=None),
+        lambda doc: with_annotation(doc, namespace=3),
+        lambda doc: with_annotation(doc, provenance={"aspect": "x", "rule": None}),
+        lambda doc: with_annotation(doc, provenance={"aspect": 0, "rule": "x"}),
+        lambda doc: with_annotation(doc, value={"type": "str", "text": 3}),
+        lambda doc: with_annotation(doc, value={"type": "name", "name": 3}),
+        lambda doc: with_annotation(doc, value={"type": "punct", "char": 3}),
+        lambda doc: with_annotation(doc, value={"type": "record", "attributes": [
+            {"namespace": None, "name": 3, "value": None}]}),
+        lambda doc: with_annotation(doc, value={"type": "record", "attributes": [
+            {"namespace": 3, "name": "a", "value": None}]}),
     ], ids=["list", "no-grammar", "unknown-node", "int-without-value",
             "no-annotations", "nodes-not-a-list", "entry-not-an-object",
             "provenance-not-an-object", "int-value-a-string", "int-value-a-bool",
             "span-a-string", "span-of-one", "span-of-a-float",
             "children-a-string", "children-not-ints", "kind-an-int",
-            "detail-a-list"])
+            "detail-a-list", "id-a-string", "root-a-string", "root-unknown",
+            "node-a-bool", "name-an-int", "name-null", "namespace-an-int", "aspect-a-string",
+            "rule-a-string", "str-value-an-int", "name-value-an-int",
+            "punct-value-an-int", "record-name-an-int", "record-namespace-an-int"])
     def test_malformed_document(self, edit):
         tree = parse_grammar("a : 'x' ;")
         store = AnnotationStore.for_tree(tree)
@@ -254,6 +273,11 @@ def with_node(doc, **fields):
     nodes = doc["grammar"]["nodes"]
     return dict(doc, grammar=dict(doc["grammar"],
                                   nodes=nodes[:-1] + [dict(nodes[-1], **fields)]))
+
+
+def with_annotation(doc, **fields):
+    """doc with fields replaced in its one annotation."""
+    return dict(doc, annotations=[dict(doc["annotations"][0], **fields)])
 
 
 ANY = Multiplicity(0, None)

@@ -692,7 +692,8 @@ class TestRecognizerOracle:
     """Differential test: the recognizer, over int items with one token of
     lookahead, against reference_recognize, which predicts every production
     over (state, origin) tuples.  Both read one set of compiled tables; the
-    chart tables and every ParseError must be equal."""
+    completions, with their production bit sets and the order of their
+    origins, and every ParseError must be equal."""
 
     @staticmethod
     def outcome(recognize, cg, start, tokens, codes):
@@ -701,6 +702,18 @@ class TestRecognizerOracle:
         except ParseError as exc:
             return "error", exc.message, exc.position, exc.expected
 
+    @staticmethod
+    def one_table(ends, origins):
+        """The reference's two tables as the recognizer's one chart,
+        `chart[end][nt]` = {origin: production bits}, after checking that
+        both list the same completions."""
+        width = len(origins)
+        assert sorted((nt, o, end) for end, row in enumerate(origins)
+                      for nt, found in row.items() for o in found) == \
+            sorted((key // width, key % width, end) for key, row in ends.items() for end in row)
+        return [{nt: {o: ends[nt * width + o][end] for o in found}
+                 for nt, found in row.items()} for end, row in enumerate(origins)]
+
     def assert_same(self, tree, start, tokens):
         """True if the tokens were accepted."""
         cg = _Compiled(tree)
@@ -708,8 +721,15 @@ class TestRecognizerOracle:
         codes = earley._token_codes(cg, tokens)
         got = self.outcome(earley._recognize, cg, nt, tokens, codes)
         want = self.outcome(reference_recognize, cg, nt, tokens, codes)
+        if want[0] != "error":
+            want = self.one_table(*want)
         assert got == want, (serialize_grammar(tree), start, token_shape(tokens))
-        return got[0] != "error"
+        if want[0] == "error":
+            return False
+        # dicts compare without order, so the origins' order is compared too
+        for done, listed in zip(got, want):
+            assert all(list(row) == list(listed[nt]) for nt, row in done.items())
+        return True
 
     @pytest.mark.parametrize("grammar, start, name", FIXTURE_INPUTS)
     def test_fixture_inputs(self, request, grammar, start, name):
