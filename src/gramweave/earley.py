@@ -17,9 +17,11 @@ the items of each Earley set by the nonterminal they wait on, so a
 completion advances just those items, and a prediction looks one token
 ahead, so it adds only the productions that can start with that token or
 that the chart needs for an empty completion.  The chart is one table of
-completions by end, nonterminal and origin, and the one extractor reads
-split points from it instead of searching for them (Scott,
-*SPPF-style parsing from Earley recognisers*, 2008), and checks the
+completions by end, nonterminal and origin.  The one extractor reads
+split points from it (Scott, *SPPF-style parsing from Earley
+recognisers*, 2008) where the compiled tables leave them open: an element
+that only terminals follow has a forced end, and one that a single
+nonterminal follows ends where that nonterminal starts.  It checks the
 cycle clause only where a cycle of unit links makes it matter.
 
 The resulting tree mirrors the grammar's own shape.  Rule applications
@@ -211,13 +213,17 @@ class _Compiled:
     or None when the dot is at the end; `gt` is the grammar-tree id of the
     element after the dot and `ref` tells whether that element is a symbol
     reference, which before a nonterminal means a rule reference; `skip`
-    tells whether it is a nullable nonterminal.  `lhs`, `bit`, `tag`,
-    `heads` and `size` hold, for every state of a production, its
-    nonterminal, its bit among that nonterminal's productions, the
-    (kind, gt_id, production_index, production_id) of the parse node it
-    builds, the ids its step opens in token contexts, and its number of
-    elements.  `spines` holds the first states of the step productions,
-    whose first element repeats the iteration.
+    tells whether it is a nullable nonterminal; `tail` is the number of
+    tokens the rest of the production takes when that rest is terminals
+    only, else -1.  `lhs`, `bit`, `tag`, `heads`, `shut` and `size` hold,
+    for every state of a production, its nonterminal, its bit among that
+    nonterminal's productions, the (kind, gt_id, production_index,
+    production_id) of the parse node it builds, the ids its step opens in
+    token contexts, the same ids in the order the step closes them, and its
+    number of elements.  `spines` holds the first states of the step
+    productions, whose first element repeats the iteration.  `needs` holds
+    the first states of the productions in which a nonterminal element is
+    followed by two or more elements, not all terminals.
 
     `first[nt]` is the FIRST set of a nonterminal: the terminal codes its
     derivations can start with.  `lead[s]`, by a production's first state,
@@ -239,12 +245,9 @@ class _Compiled:
         self.after: list = []
         self.gt: List[Optional[int]] = []
         self.ref: List[bool] = []
-        self.lhs: List[int] = []
-        self.bit: List[int] = []
-        self.tag: List[tuple] = []
-        self.heads: List[tuple] = []
-        self.size: List[int] = []
-        self.spines = set()
+        self.lhs, self.bit, self.size, self.tail = [], [], [], []  # of ints
+        self.tag, self.heads, self.shut = [], [], []  # of tuples
+        self.spines, self.needs = set(), set()
         firsts: List[int] = []  # the first state of every production
         for node in g.iter_nodes(tree):
             nt, kind = node.id, node.kind
@@ -280,8 +283,15 @@ class _Compiled:
                 self.lhs += [nt] * (m + 1)
                 self.bit += [1 << index] * (m + 1)
                 self.tag += [tag] * (m + 1)
-                self.heads += [(nt, tag[3]) if tag[0] == "rule" else (nt,)] * (m + 1)
+                ids = (nt, tag[3]) if tag[0] == "rule" else (nt,)
+                self.heads += [ids] * (m + 1)
+                self.shut += [ids[::-1]] * (m + 1)
                 self.size += [m] * (m + 1)
+                nts = [k for k, a in enumerate(self.after[-1 - m:-1]) if a >= 0]
+                last = nts[-1] if nts else -1  # the last nonterminal element
+                self.tail += [-1] * (last + 1) + list(range(m - last - 1, -1, -1))
+                if nts and nts[0] < min(last, m - 2):
+                    self.needs.add(firsts[-1])
                 if elems and elems[0] is node:
                     self.spines.add(firsts[-1])
         self.display = {code: f"'{sym[1]}'" if sym[0] == "lit" else sym[1]
@@ -532,13 +542,16 @@ class _Extractor:
     that lets the rest finish, in which no nonterminal derives a span from
     inside its own derivation of that same span.
 
-    The chart is read by the end of a span only: an element's end is the
-    first viable position (`viable`) at which the chart completes it from
-    where it starts.  Only a production with an element in
-    `_Compiled.loops` can break the cycle clause, so only the nonterminals
-    in `_Compiled.guarded` go through `choose`.  Every span the chart
-    completes has a derivation under the rule: cutting out a repeat of a
-    nonterminal over one span leaves one.
+    The chart is read by the end of a span only.  An element that only
+    terminals follow ends `tail` tokens before the span; one that a single
+    nonterminal follows ends at the least origin of that nonterminal that
+    completes it; in a production of `_Compiled.needs` it ends at the first
+    viable position (`viable`) that completes it.  Only a production with an
+    element in `_Compiled.loops` can break the cycle clause, so only the
+    nonterminals in `_Compiled.guarded` go through `choose`, whose viable
+    positions pin the ends.  Every span the chart completes has a
+    derivation under the rule: cutting out a repeat of a nonterminal over
+    one span leaves one.
     """
 
     def __init__(self, cg: _Compiled, codes, chart):
@@ -549,93 +562,95 @@ class _Extractor:
         in one pass: a step's row and opened ids are written as it opens,
         its stop and closed ids as it closes."""
         cg, chart = self.cg, self.chart
-        after, starts, gt, ref, size = cg.after, cg.starts, cg.gt, cg.ref, cg.size
-        heads, spines, guarded, loops = cg.heads, cg.spines, cg.guarded, cg.loops
-        viable, choose = self.viable, self.choose
-        tags: List[int] = []
-        los: List[int] = []
-        stops: List[int] = []
-        opened: List[int] = []
+        after, starts, gt, ref, size, tail = cg.after, cg.starts, cg.gt, cg.ref, cg.size, cg.tail
+        heads, shut, spines, guarded, loops, needs = \
+            cg.heads, cg.shut, cg.spines, cg.guarded, cg.loops, cg.needs
+        tags, los, stops, opened, closed, closed_lo, close_at = [], [], [], [], [], [], []
         open_at = [0]
-        closed: List[int] = []
-        closed_lo: List[int] = []
-        close_at: List[int] = []
-
-        def open_frame(nt: int, lo: int, hi: int, banned: frozenset, at: int) -> list:
-            """The frame of nt over lo..hi, derived for the element state
-            `at` (-1 for the start symbol), with its steps written."""
-            if nt in guarded:
-                inner = banned | {nt}
-                state, reach = choose(nt, lo, hi, inner)
+        # each turn opens nonterminal a over lo..hi for the element state
+        # `at` (-1 for the start symbol).  A frame: the production's first
+        # state, viable positions or None, the state of the next element, the
+        # position before it, the end of the span, for a `choose` the start of
+        # the span and what is open over all of it, and the frame's first row,
+        # or -1 for a repeat of an iteration.
+        stack: list = []
+        a, lo, hi, at, banned = start, 0, len(self.codes), -1, _NONE
+        while True:
+            if a in guarded:
+                inner = banned | {a}
+                state, reach = self.choose(a, lo, hi, inner)
                 inner = (lo, inner)
             else:
                 inner = None
-                mask = chart[hi][nt][lo]  # bit k stands for starts[nt][k]
-                state = starts[nt][(mask & -mask).bit_length() - 1]
-                m = size[state]
-                reach = viable(state, m, lo, hi) if m > 1 else None
-            if at in spines:  # a repeat shares the row of the outermost one
-                row = -1
-            else:
-                row = len(tags)
+                mask = chart[hi][a][lo]  # bit k stands for starts[a][k]
+                state = starts[a][(mask & -mask).bit_length() - 1]
+                reach = self.viable(state, size[state], lo, hi) if state in needs else None
+            row = -1 if at in spines else len(tags)  # a repeat shares its outermost row
+            if row >= 0:
                 if at >= 0 and ref[at]:
                     tags.append(~at)
                     los.append(lo)
                     stops.append(0)
-                    opened.append(gt[at])
+                    if hi > lo:
+                        opened.append(gt[at])
                 tags.append(state)
                 los.append(lo)
                 stops.append(0)
-                opened.extend(heads[state])
-            return [state, reach, state, lo, hi, inner, row]
-
-        # frame: the production's first state, viable positions, the state
-        # of the next element, the position before it, the end of the span,
-        # for a `choose` the start of the span and what is open over all of
-        # it, and the frame's first row, or -1 for a repeat of an iteration
-        stack = [open_frame(start, 0, len(self.codes), _NONE, -1)]
-        while stack:
-            frame = stack[-1]
-            state, reach, at, pos, hi, inner, row = frame
-            a = after[at]
-            while a is not None and a < 0:  # a token
-                gid = gt[at]
-                tags.append(~at)
-                los.append(pos)
-                stops.append(len(tags))
-                opened.append(gid)
-                open_at.append(len(opened))
-                close_at.append(len(closed))
-                closed.append(gid)
-                closed_lo.append(pos)
-                pos += 1
-                at += 1
+                if hi > lo:
+                    opened += heads[state]
+            if size[state]:
+                stack.append([state, reach, state, lo, hi, inner, row])
+            elif row >= 0:  # derives nothing: its rows close as they open
+                stops[row:] = [len(tags)] * (len(tags) - row)
+            while stack:
+                frame = stack[-1]
+                state, reach, at, pos, hi, inner, row = frame
                 a = after[at]
-            if a is not None:
-                if after[at + 1] is None:
-                    end = hi
-                else:
-                    end = min(e for e in reach[at + 1 - state] if pos in chart[e].get(a, ()))
-                frame[2] = at + 1
-                frame[3] = end
-                whole = at in loops and pos == inner[0] and end == hi
-                stack.append(open_frame(a, pos, end, inner[1] if whole else _NONE, at))
-                continue
-            stack.pop()
-            if row < 0:
-                continue
-            lo = los[row]
-            stops[row] = len(tags)
-            ids = heads[state]
-            if tags[row] < 0:  # the rule reference closes with the rule
-                stops[row + 1] = len(tags)
-                ids = (gt[~tags[row]],) + ids
-            if hi > lo:
-                for gid in reversed(ids):
+                while a is not None and a < 0:  # a token
+                    gid = gt[at]
+                    tags.append(~at)
+                    los.append(pos)
+                    stops.append(len(tags))
+                    opened.append(gid)
+                    open_at.append(len(opened))
+                    close_at.append(len(closed))
                     closed.append(gid)
-                    closed_lo.append(lo)
-            else:  # derived nothing: its ids are the last ones opened
-                del opened[-len(ids):]
+                    closed_lo.append(pos)
+                    pos += 1
+                    at += 1
+                    a = after[at]
+                if a is not None:
+                    # the element's end: forced by a terminal tail, split off
+                    # a last nonterminal, or the first viable one
+                    end = tail[at + 1]
+                    if end >= 0:
+                        end = hi - end
+                    elif reach is None:
+                        ends = chart[hi][after[at + 1]]  # the last element's origins
+                        if len(ends) == 1:
+                            end, = ends
+                        else:
+                            end = min(o for o in ends if o >= pos and pos in chart[o].get(a, ()))
+                    else:
+                        end = min(e for e in reach[at + 1 - state] if pos in chart[e].get(a, ()))
+                    frame[2:4] = at + 1, end
+                    banned = inner[1] if at in loops and pos == inner[0] and end == hi else _NONE
+                    lo, hi = pos, end
+                    break
+                stack.pop()
+                if row < 0:
+                    continue
+                lo = los[row]
+                stops[row] = len(tags)
+                ids = shut[state]
+                if tags[row] < 0:  # the rule reference closes with the rule
+                    stops[row + 1] = len(tags)
+                    ids += (gt[~tags[row]],)
+                if hi > lo:
+                    closed += ids
+                    closed_lo += [lo] * len(ids)
+            else:
+                break
         close_at.append(len(closed))
         return (tags, los, stops), TokenContexts(opened, open_at, closed, closed_lo, close_at)
 

@@ -688,6 +688,43 @@ class TestTreeOracle:
         assert compared >= 5
 
 
+class TestExtractionPaths:
+    """Each grammar reaches one way the extractor finds an element's end:
+    forced by the terminals after it, split off the one nonterminal after
+    it, or found by walking the chart back.  Every input of up to 5 tokens
+    must give the oracle's tree and the reference context chains; `accepted`
+    counts the inputs the grammar derives."""
+
+    @pytest.mark.parametrize("text, needs, cyclic, accepted", [
+        # a forced terminal tail after an element of two lengths
+        ("s : a 'x' 'y' ;\na : ID | ID 'x' ;", False, False, 2),
+        # a last nonterminal with several candidate origins
+        ("s : a b ;\na : ID | ID ID ;\nb : ID | ID ID ;", False, False, 3),
+        # a nonterminal followed by two elements, not all terminals
+        ("s : a b c ;\na : ID | ID ID ;\nb : ID? ;\nc : ID | ID ID ;", True, False, 4),
+        # empty derivations reached through a rule reference
+        ("s : e ID e ;\ne : #empty ;", True, False, 1),
+        # a guarded unit cycle followed by a terminal tail
+        ("s : (ID?)* 'x' 'y' ;", False, True, 4),
+    ])
+    def test_every_short_input(self, text, needs, cyclic, accepted):
+        tree = parse_grammar(text)
+        cg = _Compiled(tree)
+        assert (bool(cg.needs), cg.cyclic) == (needs, cyclic)
+        start = tree.root.children[0].detail
+        alphabet = sorted({("lit", t) for t in literal_texts(tree)} |
+                          {("term", n) for n in terminal_names(tree)})
+        compared = 0
+        for length in range(6):
+            for shape in itertools.product(alphabet, repeat=length):
+                tokens = tokens_for(shape)
+                if TestTreeOracle().assert_same(tree, start, tokens):
+                    pt = parse_input(tree, start, tokens)
+                    TestTokenContexts().assert_matches_reference(tree, pt)
+                    compared += 1
+        assert compared == accepted
+
+
 class TestRecognizerOracle:
     """Differential test: the recognizer, over int items with one token of
     lookahead, against reference_recognize, which predicts every production

@@ -25,7 +25,7 @@ from gramweave import earley
 from gramweave.earley import _Extractor
 from gramweave.grammar import descendants
 from gramweave.patterns import Bind, LitPat, VarRef
-from support import (chain_arith_text, context_lists, deep_grammar_text,
+from support import (chain_arith_text, context_lists, deep_grammar_text, fixture,
                      java_class_text, nested_arith_text, nested_iteration_text, oracle_parse,
                      reference_format, reference_serialize_grammar,
                      reference_serialize_store, step_counts, tree_difference)
@@ -147,6 +147,40 @@ class TestJava:
         kept = len(gc.get_objects()) - before
         assert len(tokens) == 2070 and kept <= 100 + 1.2 * len(tokens), kept
         assert len(chart) == len(tokens) + 1
+
+
+class TestExtractionWork:
+    """The compiled tables fix most elements' ends, so the extractor walks
+    the chart back (`_Extractor.viable`) only in the productions of
+    `_Compiled.needs`: a bound on calls, not on time."""
+
+    @pytest.fixture
+    def viable_states(self, monkeypatch):
+        states = []  # the production of each call, by its first state
+        method = _Extractor.viable
+
+        def counted(self, state, *args):
+            states.append(state)
+            return method(self, state, *args)
+        monkeypatch.setattr(_Extractor, "viable", counted)
+        return states
+
+    def test_arith_walks_nothing_back(self, arith, arith_lexer, viable_states):
+        # 12,005 calls when every production of two or more elements walked
+        for text in (fixture("inputs/expr.txt"), nested_arith_text(1000),
+                     chain_arith_text(2999)):
+            parse_input(arith, "expr", tokenize(arith_lexer, arith, text))
+        assert earley._compiled[arith].needs == set()
+        assert viable_states == []
+
+    def test_java_walks_back_only_where_needed(self, java5, java_lexer, viable_states):
+        # 615 calls in four productions, where walking back in every
+        # production of two or more elements made 1,832
+        tokens = tokenize(java_lexer, java5, java_class_text(280))
+        parse_input(java5, "normalClassDeclaration", tokens)
+        needs = earley._compiled[java5].needs
+        assert viable_states and set(viable_states) <= needs
+        assert len(viable_states) <= len(tokens) / 3
 
 
 class TestGrammar:
