@@ -235,8 +235,7 @@ class _Compiled:
     `loops` holds the states before an element that can take its
     production's whole span and lies on a cycle of such unit links with
     the production's nonterminal; `guarded` maps each nonterminal with such
-    a production to the members of its component; `cyclic` tells whether
-    there are any.
+    a production to the members of its component.
     """
 
     def __init__(self, tree: g.GrammarTree):
@@ -399,7 +398,6 @@ class _Compiled:
                             stack.append(a)
         self.loops = {s for s, nt, a in unit if component[a] == component[nt]}
         self.guarded = {nt: members[component[nt]] for s, nt, a in unit if s in self.loops}
-        self.cyclic = bool(self.loops)
 
     def predicted(self, code: int) -> list:
         """Per nonterminal, the first states of the productions that a

@@ -36,6 +36,8 @@ class Style:
 
 Palette = Dict[str, Style]
 
+_GROUP_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+
 _ANSI_COLORS = {
     "black": 30, "red": 31, "green": 32, "yellow": 33,
     "blue": 34, "magenta": 35, "cyan": 36, "white": 37,
@@ -162,7 +164,8 @@ def html_page(text: str, spans: List[HighlightSpan], palette: Palette) -> str:
 
 
 def parse_palette(text: str, source: str = "<palette>") -> Palette:
-    """Parse `group = color [bold] [underline]` lines; '#' comments."""
+    """Parse `group = color [bold] [underline]` lines; '#' comments. A
+    group name must match _GROUP_NAME, as it becomes a CSS class."""
     palette: Palette = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -177,6 +180,8 @@ def parse_palette(text: str, source: str = "<palette>") -> Palette:
         if not group or not words:
             raise NotationError("expected 'group = color [bold] [underline]'",
                                 source, lineno, 1)
+        if not _GROUP_NAME.fullmatch(group):
+            raise NotationError(f"invalid group name '{group}'", source, lineno, 1)
         color: Optional[str] = words[0]
         if color == "default":
             color = None

@@ -1,11 +1,13 @@
 """Pretty-printing driven by woven `before`/`after` attributes.
 
 Whitespace programs are sequence values mixing literal strings with the
-name literals increaseIndent/decreaseIndent. Between two tokens the
-previous token's after-program runs, then the next token's
-before-program. Indentation is materialized lazily: the indent string
-for the current level is emitted when the first non-whitespace
-character of a line appears.
+name literals increaseIndent/decreaseIndent. Each token's before-program
+runs just before its text and its after-program just after it, so
+between two tokens the previous token's after-program runs, then the
+next token's before-program. Text is written in runs between newlines;
+indentation is materialized lazily: the indent string for the current
+level is written before the first character of a line that is not a
+space or a tab.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from .annotations import (AnnotationStore, Attribute, NameValue, NodeMemo,
                           SeqValue, StrValue)
-from .earley import ParseTree, TokenContexts, token_contexts
+from .earley import ParseTree, token_contexts
 from .errors import WhitespaceError
 
 DEFAULT_INDENT_UNIT = "    "
@@ -89,52 +91,6 @@ def _decode_attr(attr: Optional[Attribute]) -> Optional[WhitespaceProgram]:
     return decode_whitespace(attr.value, _describe(attr))
 
 
-class _Whitespace:
-    """The whitespace programs format_tree runs around each token.
-
-    The defaults are decoded up front; a node's `before` and `after`
-    programs are looked up and decoded the first time a token reaches the
-    node, and kept, so a malformed program on a node no token reaches
-    raises nothing.
-    """
-
-    def __init__(self, store: AnnotationStore):
-        root = store.root_id
-        before = _decode_attr(store.attribute(root, "defaultBefore"))
-        after = _decode_attr(store.attribute(root, "defaultAfter"))
-        self.default_before: WhitespaceProgram = before if before is not None else ()
-        self.default_after: WhitespaceProgram = after if after is not None else ()
-        unit_attr = store.attribute(root, "indentUnit")
-        if unit_attr is None:
-            self.indent_unit = DEFAULT_INDENT_UNIT
-        elif isinstance(unit_attr.value, StrValue):
-            self.indent_unit = unit_attr.value.text
-        else:
-            raise WhitespaceError(
-                f"{_describe(unit_attr)}: indentUnit must be a string")
-        self.before = NodeMemo(lambda gid: _decode_attr(store.attribute(gid, "before")))
-        self.after = NodeMemo(lambda gid: _decode_attr(store.attribute(gid, "after")))
-
-    def around(self, contexts: TokenContexts,
-               index: int) -> Tuple[WhitespaceProgram, WhitespaceProgram]:
-        """(before, after) for token `index` of token_contexts: the before
-        programs of the nodes whose range starts at it, outermost to
-        innermost, and the after programs of those whose range ends at it,
-        innermost to outermost; each falls back to its default if no node
-        has one."""
-        opened, open_at, closed, _closed_lo, close_at = contexts
-        before = opened[open_at[index]:open_at[index + 1]]
-        after = closed[close_at[index]:close_at[index + 1]]
-        return (_joined(map(self.before.__getitem__, before), self.default_before),
-                _joined(map(self.after.__getitem__, after), self.default_after))
-
-
-def _joined(progs, default: WhitespaceProgram) -> WhitespaceProgram:
-    """The programs that are not None, run in order; default if none is."""
-    progs = [prog for prog in progs if prog is not None]
-    return tuple(item for prog in progs for item in prog) if progs else default
-
-
 class FormatterState:
     """Output accumulator with lazy indentation."""
 
@@ -146,22 +102,24 @@ class FormatterState:
         self.pending_indent = True
 
     def emit_text(self, text: str) -> None:
-        for ch in text:
-            if ch == "\n":
-                self._newline()
-            elif self.pending_indent and ch not in " \t":
-                self.current.append(self.indent_unit * self.indent_level)
-                self.current.append(ch)
-                self.pending_indent = False
-            else:
-                self.current.append(ch)
-
-    def _newline(self) -> None:
-        # trailing spaces before a newline are trimmed
-        line = "".join(self.current).rstrip(" \t")
-        self.lines.append(line)
-        self.current = []
-        self.pending_indent = True
+        """Write text in runs between newlines; a pending indent goes after
+        the leading blanks of the first run that has any other character."""
+        if not self.pending_indent and "\n" not in text:
+            self.current.append(text)
+            return
+        for index, run in enumerate(text.split("\n")):
+            if index:  # a newline; the blanks that end its line are trimmed
+                self.lines.append("".join(self.current).rstrip(" \t"))
+                self.current = []
+                self.pending_indent = True
+            if self.pending_indent:
+                ink = run.lstrip(" \t")
+                if ink:
+                    self.current.append(run[:len(run) - len(ink)])
+                    self.current.append(self.indent_unit * self.indent_level)
+                    self.pending_indent = False
+                    run = ink
+            self.current.append(run)
 
     def run(self, program: WhitespaceProgram) -> None:
         for item in program:
@@ -187,19 +145,45 @@ class FormatterState:
         return out
 
 
+def _run_or_default(state: FormatterState, programs: NodeMemo, ids,
+                    default: WhitespaceProgram) -> None:
+    """Run the programs of the nodes in ids that have one, in order; the
+    default if none has."""
+    ran = False
+    for gid in ids:
+        program = programs[gid]
+        if program is not None:
+            state.run(program)
+            ran = True
+    if not ran:
+        state.run(default)
+
+
 def format_tree(tree: ParseTree, store: AnnotationStore) -> str:
-    """Re-emit the parsed token stream with woven whitespace applied."""
-    whitespace = _Whitespace(store)
-    state = FormatterState(whitespace.indent_unit)
-    contexts = token_contexts(tree)
-    pending: Optional[WhitespaceProgram] = None
+    """Re-emit the parsed token stream with woven whitespace applied.
+
+    Before each token run the before-programs of the steps whose range
+    starts at it, outermost first; after it, the after-programs of those
+    whose range ends at it, innermost first. Each side falls back to the
+    root's defaultBefore or defaultAfter if no step has a program. A
+    node's programs are decoded the first time a token reaches it and
+    kept for the call, so a malformed program on a node no token reaches
+    raises nothing.
+    """
+    root = store.root_id
+    default_before = _decode_attr(store.attribute(root, "defaultBefore")) or ()
+    default_after = _decode_attr(store.attribute(root, "defaultAfter")) or ()
+    unit = store.attribute(root, "indentUnit")
+    if unit is not None and not isinstance(unit.value, StrValue):
+        raise WhitespaceError(f"{_describe(unit)}: indentUnit must be a string")
+    state = FormatterState(DEFAULT_INDENT_UNIT if unit is None else unit.value.text)
+    befores = NodeMemo(lambda gid: _decode_attr(store.attribute(gid, "before")))
+    afters = NodeMemo(lambda gid: _decode_attr(store.attribute(gid, "after")))
+    opened, open_at, closed, _closed_lo, close_at = token_contexts(tree)
     for index, token in enumerate(tree.tokens):
-        before, after = whitespace.around(contexts, index)
-        if pending is not None:
-            state.run(pending)
-        state.run(before)
+        _run_or_default(state, befores, opened[open_at[index]:open_at[index + 1]],
+                        default_before)
         state.emit_text(token.text)
-        pending = after
-    if pending is not None:
-        state.run(pending)
+        _run_or_default(state, afters, closed[close_at[index]:close_at[index + 1]],
+                        default_after)
     return state.finish()

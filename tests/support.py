@@ -12,7 +12,8 @@ as a candidate where tokenize matches literals with one alternation, the
 reference recognizer predicts every production over tuple items where
 the parser's recognizer looks one token ahead over int items, the
 reference formatter walks the parse tree for its own chains and
-interprets whitespace programs with its own event loop, and the reference
+interprets whitespace programs with its own event loop, the reference
+group rule and effective_whitespace read those chains too, and the reference
 store writer lets json.dumps lay out a document built as dicts.
 """
 
@@ -33,7 +34,7 @@ from gramweave import prettyprint
 from gramweave.annotations import (PUNCTUATION, Annotation, Attribute, IntValue,
                                    NameValue, PunctValue, RecordValue, SeqValue,
                                    StrValue)
-from gramweave.earley import ParseLeaf, ParseNode, leaves, token_contexts
+from gramweave.earley import ParseLeaf, ParseNode
 from gramweave.errors import LexError, NotationError, ParseError
 from gramweave.lexer import Token
 from gramweave.scan import escape_string, line_col
@@ -859,11 +860,16 @@ def _ref_program(value) -> list:
     return out
 
 
-def _ref_attr(store, gid: int, name: str) -> list | None:
+def _attr_value(store, gid: int, name: str):
     for attr in store.annotation_for(gid).attributes:
         if attr.namespace is None and attr.name == name:
-            return _ref_program(attr.value)
+            return attr.value
     return None
+
+
+def _ref_attr(store, gid: int, name: str) -> list | None:
+    value = _attr_value(store, gid, name)
+    return None if value is None else _ref_program(value)
 
 
 def reference_chains(tree) -> list:
@@ -952,11 +958,44 @@ def step_counts(root) -> tuple:
 
 def effective_whitespace(leaf: ParseLeaf, tree, store):
     """The (before, after) whitespace programs format_tree runs for one leaf
-    of the tree."""
-    for index, candidate in enumerate(leaves(tree)):
+    of the tree, read off reference_chains: the before programs of the links
+    that start at the leaf, outermost first, and the after programs of those
+    that end at it, innermost first, each decoded and joined; the root's
+    defaultBefore or defaultAfter where no link has one."""
+    for index, (candidate, chain) in enumerate(reference_chains(tree)):
         if candidate is leaf:
-            return prettyprint._Whitespace(store).around(token_contexts(tree), index)
-    raise ValueError("leaf does not belong to tree")
+            break
+    else:
+        raise ValueError("leaf does not belong to tree")
+
+    def joined(gids, name, default):
+        values = [_attr_value(store, gid, name) for gid in gids]
+        values = [v for v in values if v is not None] or \
+            [_attr_value(store, store.root_id, default)]
+        return tuple(item for v in values if v is not None
+                     for item in prettyprint.decode_whitespace(v))
+
+    return (joined([gid for gid, lo, _hi in chain if lo == index],
+                   "before", "defaultBefore"),
+            joined([gid for gid, _lo, hi in reversed(chain) if hi == index + 1],
+                   "after", "defaultAfter"))
+
+
+def reference_groups(tree, store) -> list:
+    """(span, group) per token: the group of the innermost reference_chains
+    link that derives exactly this token and carries a name or string
+    group, else plain."""
+    out = []
+    for index, (leaf, chain) in enumerate(reference_chains(tree)):
+        group = "plain"
+        for gid, lo, hi in reversed(chain):
+            if (lo, hi) == (index, index + 1):
+                value = _attr_value(store, gid, "group")
+                if isinstance(value, (NameValue, StrValue)):
+                    group = value.name if isinstance(value, NameValue) else value.text
+                    break
+        out.append((leaf.token.span, group))
+    return out
 
 
 def reference_format(tree, store) -> str:

@@ -226,6 +226,15 @@ class TestHighlight:
         assert '<span class="keyword">class</span>' in out
         assert ".keyword { color: yellow; font-weight: bold; }" in out
 
+    def test_bad_palette_group_name(self, capsys, tmp_path):
+        palette = tmp_path / "bad.palette"
+        palette.write_text("keyword = yellow\nx{}y = blue\n", encoding="utf-8")
+        code, out, err = run(capsys, "highlight", JAVA5, GENERICS,
+                             "-a", HIGHLIGHT, "--lexer", JAVA_LEX,
+                             "--format", "html", "--palette", str(palette))
+        assert (code, out) == (2, "")
+        assert err == f"error: {palette}:2:1: invalid group name 'x{{}}y'\n"
+
     def test_unparseable_input(self, capsys, tmp_path):
         src = tmp_path / "bad.java"
         src.write_text("class class\n", encoding="utf-8")

@@ -193,8 +193,23 @@ class TestParsePalette:
         ("g =", "expected 'group"),
         ("g = pink", "unknown color 'pink'"),
         ("g = red blinking", "unknown style flag 'blinking'"),
+        ("my group = red bold", "invalid group name 'my group'"),
+        ("x{}y = blue", "invalid group name 'x{}y'"),
+        ("1st = red", "invalid group name '1st'"),
+        ("a.b = red", "invalid group name 'a.b'"),
     ])
     def test_rejects(self, text, fragment):
         with pytest.raises(NotationError) as exc:
             parse_palette(text)
         assert fragment in str(exc.value)
+
+    def test_bad_group_name_located(self):
+        with pytest.raises(NotationError) as exc:
+            parse_palette("g = red\n\n  my group = red bold\n", "p.txt")
+        assert str(exc.value) == "p.txt:3:1: invalid group name 'my group'"
+
+    @pytest.mark.parametrize("name", ["g", "_x", "type-name", "A_9-b"])
+    def test_group_names(self, name):
+        palette = parse_palette(f"{name} = red")
+        assert palette == {name: Style("red")}
+        assert stylesheet(palette) == f".{name} {{ color: red; }}"

@@ -1,13 +1,16 @@
 import gc
 import itertools
 import random
+import warnings
 import weakref
 
 import pytest
 
-from gramweave import (LexError, NotationError, ParseError, ParseLeaf,
-                       ParseNode, Token, assign_groups, earley, format_tree,
-                       leaves, parse_grammar, parse_input, parse_lexer_spec,
+from gramweave import (Annotation, AnnotationStore, Attribute, IntValue,
+                       LexError, NameValue, NotationError, ParseError,
+                       ParseLeaf, ParseNode, SeqValue, StrValue, Token,
+                       assign_groups, earley, format_tree, leaves,
+                       parse_grammar, parse_input, parse_lexer_spec,
                        serialize_grammar, token_contexts, tokenize)
 from gramweave.grammar import literal_texts
 from gramweave.earley import _Compiled
@@ -15,9 +18,9 @@ from support import (LanguageTooLarge, context_lists, dataclass_node,
                      dataclass_repr, enumerate_language, fixture, java_class_text,
                      nested_arith_text, oracle_accepts, oracle_compile,
                      oracle_parse, random_grammar, random_token_text,
-                     reference_chains, reference_recognize,
-                     reference_tokenize, rule_parse, step_counts,
-                     token_shape, tree_difference)
+                     reference_chains, reference_format, reference_groups,
+                     reference_recognize, reference_tokenize, rule_parse,
+                     step_counts, token_shape, tree_difference)
 
 # (grammar, start rule, input) for every fixture input
 FIXTURE_INPUTS = [
@@ -455,7 +458,7 @@ class TestTokenContexts:
                 self.assert_matches_reference(tree, pt)
                 compared += 1
                 shapes |= tree_shapes(pt.root)
-                cyclic.add(_Compiled(tree).cyclic)
+                cyclic.add(bool(_Compiled(tree).loops))
         assert compared >= 200
         # steps that derive nothing (which appear nowhere), repeats that
         # share one iteration step, rule references, and unit cycles
@@ -508,6 +511,89 @@ class TestTokenContexts:
         assert repr(a) == repr(b) == text
         assert "contexts" not in text and "ParseNode" not in text
         assert a != parse_input(arith, "expr", tokenize(arith_lexer, arith, "1+2/3"))
+
+
+_PIECES = ["", " ", "\t", "\n  ", " \n\t"]
+# terminal token texts: the parser reads only the terminal name
+_TOKEN_TEXTS = ["a", "bc", " b", "a\n b", "\t\n", "c  ", "\n", "  "]
+
+
+def random_program(rng):
+    """A whitespace attribute value: a string, or a sequence of strings and
+    indent directives."""
+    if rng.random() < 0.3:
+        return StrValue(rng.choice(_PIECES))
+    return SeqValue(tuple(rng.choice([StrValue(rng.choice(_PIECES)),
+                                      NameValue("increaseIndent"),
+                                      NameValue("decreaseIndent")])
+                          for _ in range(rng.randint(0, 3))))
+
+
+def random_backend_store(rng, tree):
+    """A store with random before, after and group attributes on the
+    grammar's nodes, and now and then the defaults and indentUnit on its
+    root.  A group that is no name or string (an int, a flag) is one the
+    backend passes over."""
+    store = AnnotationStore.for_tree(tree)
+    root = tree.root.id
+    for node_id in tree.by_id:
+        if node_id == root:
+            continue
+        attrs = [Attribute(name, value=random_program(rng))
+                 for name in ("before", "after") if rng.random() < 0.3]
+        if rng.random() < 0.3:
+            attrs.append(Attribute("group", value=rng.choice(
+                [NameValue("kw"), NameValue("op"), StrValue("lit"),
+                 IntValue(1), None])))
+        if attrs:
+            store.attach(node_id, Annotation(tuple(attrs)))
+    attrs = [Attribute(name, value=random_program(rng))
+             for name in ("defaultBefore", "defaultAfter") if rng.random() < 0.5]
+    if rng.random() < 0.5:
+        attrs.append(Attribute("indentUnit", value=StrValue(rng.choice(["  ", "\t", ">"]))))
+    if attrs:
+        store.attach(root, Annotation(tuple(attrs)))
+    return store
+
+
+class TestBackendOracle:
+    """Both backends on random grammars, sentences, token texts and woven
+    attributes: format_tree against reference_format, assign_groups
+    against reference_groups."""
+
+    def test_random_grammars(self):
+        rng = random.Random(20261019)
+        compared = 0
+        groups, lines = set(), set()
+        for _ in range(80):
+            tree = random_grammar(rng)
+            start = tree.root.children[0].detail
+            try:
+                language = enumerate_language(tree, start, max_len=5, cap=500)
+            except LanguageTooLarge:
+                continue
+            store = random_backend_store(rng, tree)
+            for shape in [()] + sample_shapes(rng, language, 6):
+                tokens = [Token(rng.choice(_TOKEN_TEXTS), t.terminal, t.span)
+                          if t.terminal else t for t in tokens_for(shape)]
+                try:
+                    pt = parse_input(tree, start, tokens)
+                except ParseError:
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # indent level underflow
+                    out = format_tree(pt, store)
+                assert out == reference_format(pt, store)
+                spans = [(hs.span, hs.group) for hs in assign_groups(pt, store)]
+                assert spans == reference_groups(pt, store)
+                compared += 1
+                groups.update(group for _span, group in spans)
+                lines.update(out.split("\n")[1:])
+        assert compared >= 200
+        assert groups == {"plain", "kw", "op", "lit"}
+        # indented lines, with the blanks a token text leads with kept
+        # before the indent
+        assert {"\ta", "  a", " >b"} <= lines
 
 
 class TestRecognitionOracle:
@@ -578,7 +664,7 @@ class TestCompileOracle:
         assert {nt: len(firsts) for nt, firsts in enumerate(got.starts) if firsts} == \
             {key[1]: len(prods) for key, prods in want.by_lhs.items()}
         assert got.nullable == {key[1] for key in want.nullable}
-        assert got.cyclic == want.cyclic
+        assert bool(got.loops) == want.cyclic
         return got
 
     @pytest.mark.parametrize("name", ["arith.g", "java5.g", "java14.g"])
@@ -589,7 +675,7 @@ class TestCompileOracle:
         rng = random.Random(70)
         cyclic = set()
         for _ in range(60):
-            cyclic.add(self.assert_like_oracle(random_grammar(rng)).cyclic)
+            cyclic.add(bool(self.assert_like_oracle(random_grammar(rng)).loops))
         assert cyclic == {False, True}
 
 
@@ -598,7 +684,7 @@ class TestTreeOracle:
     and for grammars with unit cycles against the rule's own search."""
 
     def assert_same(self, tree, start, tokens):
-        oracle = rule_parse if _Compiled(tree).cyclic else oracle_parse
+        oracle = rule_parse if bool(_Compiled(tree).loops) else oracle_parse
         want = oracle(tree, start, tokens)
         if want is None:
             with pytest.raises(ParseError):
@@ -632,7 +718,7 @@ class TestTreeOracle:
             for shape in shapes:
                 if self.assert_same(tree, start, tokens_for(shape)):
                     compared += 1
-                    cyclic.add(_Compiled(tree).cyclic)
+                    cyclic.add(bool(_Compiled(tree).loops))
         assert compared >= 200
         # both oracles ran: grammars with and without unit cycles
         assert cyclic == {False, True}
@@ -675,7 +761,7 @@ class TestTreeOracle:
         tree = parse_grammar("s : m 'g' ; m : k : x 'f' ; k : n a 'b' ;\n"
                              "n : #empty : ID ; a : x ; x : k : y ;\n"
                              "y : ID : ID ID 'b' ;")
-        assert _Compiled(tree).cyclic
+        assert bool(_Compiled(tree).loops)
         ident, b, f, gee = ("term", "ID"), ("lit", "b"), ("lit", "f"), ("lit", "g")
         tokens = tokens_for([ident, ident, b, f, gee])
         assert sketch(tree, parse_input(tree, "s", tokens).root) == \
@@ -710,7 +796,7 @@ class TestExtractionPaths:
     def test_every_short_input(self, text, needs, cyclic, accepted):
         tree = parse_grammar(text)
         cg = _Compiled(tree)
-        assert (bool(cg.needs), cg.cyclic) == (needs, cyclic)
+        assert (bool(cg.needs), bool(cg.loops)) == (needs, cyclic)
         start = tree.root.children[0].detail
         alphabet = sorted({("lit", t) for t in literal_texts(tree)} |
                           {("term", n) for n in terminal_names(tree)})
@@ -793,7 +879,7 @@ class TestRecognizerOracle:
             except LanguageTooLarge:
                 pass
             cg = _Compiled(tree)
-            kinds.add((cg.cyclic, bool(cg.nullable)))
+            kinds.add((bool(cg.loops), bool(cg.nullable)))
             for shape in shapes:
                 if self.assert_same(tree, start, tokens_for(shape)):
                     accepted += 1
