@@ -25,8 +25,7 @@ from .highlight import (PLAIN, HighlightSpan, Palette, Style, assign_groups,
 from .lexer import LexerSpec, Token, parse_lexer_spec, tokenize
 from .patterns import (MatchResult, RulePattern, match_rules, match_within,
                        parse_rule_pattern, parse_subpattern)
-from .prettyprint import (DEC_INDENT, INC_INDENT, FormatterState, Text,
-                          decode_whitespace, format_tree)
+from .prettyprint import FormatterState, decode_whitespace, format_tree
 
 __version__ = "0.1.0"
 
@@ -47,7 +46,6 @@ __all__ = [
     "LexerSpec", "Token", "parse_lexer_spec", "tokenize",
     "MatchResult", "RulePattern", "match_rules", "match_within",
     "parse_rule_pattern", "parse_subpattern",
-    "DEC_INDENT", "INC_INDENT", "FormatterState", "Text",
-    "decode_whitespace", "format_tree",
+    "FormatterState", "decode_whitespace", "format_tree",
     "__version__",
 ]

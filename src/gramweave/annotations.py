@@ -128,6 +128,11 @@ class Attribute:
     def with_provenance(self, prov: Optional[Provenance]) -> "Attribute":
         return Attribute(self.name, self.namespace, self.value, prov, self.loc)
 
+    def describe(self) -> str:
+        """The attribute by name, with its line and column when it has them."""
+        at = f" at line {self.loc[0]}, column {self.loc[1]}" if self.loc != (0, 0) else ""
+        return f"attribute '{self.name}'{at}"
+
 
 @dataclass(frozen=True)
 class Annotation:

@@ -5,8 +5,9 @@ Exit codes are a stable contract:
   0  success
   1  weave errors (multiplicity violations, attachment conflicts,
      malformed whitespace advice)
-  2  syntax errors in the grammar/aspect/lexer/palette files, usage
-     errors, unreadable files
+  2  syntax errors in the grammar/aspect/lexer/palette files, woven
+     group names that no palette can name, usage errors, unreadable
+     files
   3  lex or parse errors in the input text, reported as
      `error: path:line:col: message`
 
@@ -206,10 +207,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (NotationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GramweaveError as exc:
+    except (GramweaveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -222,8 +222,8 @@ class _Compiled:
     token contexts, the same ids in the order the step closes them, and its
     number of elements.  `spines` holds the first states of the step
     productions, whose first element repeats the iteration.  `needs` holds
-    the first states of the productions in which a nonterminal element is
-    followed by two or more elements, not all terminals.
+    the first states of the productions in which a nonterminal element
+    lies two or more elements before the last nonterminal element.
 
     `first[nt]` is the FIRST set of a nonterminal: the terminal codes its
     derivations can start with.  `lead[s]`, by a production's first state,
@@ -289,7 +289,7 @@ class _Compiled:
                 nts = [k for k, a in enumerate(self.after[-1 - m:-1]) if a >= 0]
                 last = nts[-1] if nts else -1  # the last nonterminal element
                 self.tail += [-1] * (last + 1) + list(range(m - last - 1, -1, -1))
-                if nts and nts[0] < min(last, m - 2):
+                if nts and nts[0] < last - 1:
                     self.needs.add(firsts[-1])
                 if elems and elems[0] is node:
                     self.spines.add(firsts[-1])
@@ -541,13 +541,13 @@ class _Extractor:
     inside its own derivation of that same span.
 
     The chart is read by the end of a span only.  An element that only
-    terminals follow ends `tail` tokens before the span; one that a single
-    nonterminal follows ends at the least origin of that nonterminal that
-    completes it; in a production of `_Compiled.needs` it ends at the first
-    viable position (`viable`) that completes it.  Only a production with an
-    element in `_Compiled.loops` can break the cycle clause, so only the
-    nonterminals in `_Compiled.guarded` go through `choose`, whose viable
-    positions pin the ends.  Every span the chart completes has a
+    terminals follow ends `tail` tokens before the span; one that the last
+    nonterminal follows ends at the least origin of that nonterminal at its
+    forced end that completes it; in a production of `_Compiled.needs` it
+    ends at the first viable position (`viable`) that completes it.  Only a
+    production with an element in `_Compiled.loops` can break the cycle
+    clause, so only the nonterminals in `_Compiled.guarded` go through
+    `choose`, whose viable positions pin the ends.  Every span the chart completes has a
     derivation under the rule: cutting out a repeat of a nonterminal over
     one span leaves one.
     """
@@ -619,12 +619,12 @@ class _Extractor:
                     a = after[at]
                 if a is not None:
                     # the element's end: forced by a terminal tail, split off
-                    # a last nonterminal, or the first viable one
+                    # the last nonterminal at its forced end, or the first viable one
                     end = tail[at + 1]
                     if end >= 0:
                         end = hi - end
                     elif reach is None:
-                        ends = chart[hi][after[at + 1]]  # the last element's origins
+                        ends = chart[hi - tail[at + 2]][after[at + 1]]  # its origins
                         if len(ends) == 1:
                             end, = ends
                         else:

@@ -44,21 +44,29 @@ _ANSI_COLORS = {
 }
 
 
-def _group_name(value) -> Optional[str]:
+def _group_name(store: AnnotationStore, gid: int) -> Optional[str]:
+    """A node's woven name or string group; it must be one a palette can name."""
+    value = store.lookup(gid, "group")
     if isinstance(value, NameValue):
-        return value.name
-    if isinstance(value, StrValue):
-        return value.text
-    return None
+        name = value.name
+    elif isinstance(value, StrValue):
+        name = value.text
+    else:
+        return None
+    if not _GROUP_NAME.fullmatch(name):
+        raise NotationError(f"invalid group name '{name}'",
+                            store.attribute(gid, "group").describe())
+    return name
 
 
 def assign_groups(tree: ParseTree, store: AnnotationStore) -> List[HighlightSpan]:
     """One span per token, in order, each with its resolved group.
 
     A node's group is looked up the first time a token needs it and kept
-    for the call.
+    for the call. A name or string group that a palette could not name
+    raises NotationError; other values are passed over.
     """
-    groups = NodeMemo(lambda gid: _group_name(store.lookup(gid, "group")))
+    groups = NodeMemo(lambda gid: _group_name(store, gid))
     _opened, _open_at, closed, closed_lo, close_at = token_contexts(tree)
     spans = []
     for index, token in enumerate(tree.tokens):

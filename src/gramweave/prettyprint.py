@@ -1,20 +1,21 @@
 """Pretty-printing driven by woven `before`/`after` attributes.
 
 Whitespace programs are sequence values mixing literal strings with the
-name literals increaseIndent/decreaseIndent. Each token's before-program
-runs just before its text and its after-program just after it, so
-between two tokens the previous token's after-program runs, then the
-next token's before-program. Text is written in runs between newlines;
-indentation is materialized lazily: the indent string for the current
-level is written before the first character of a line that is not a
-space or a tab.
+name literals increaseIndent/decreaseIndent. They decode to tuples of
+plain items: a str is a text run (adjacent strings are joined) and an
+int is an indent step, 1 or -1. Each token's before-program runs just
+before its text and its after-program just after it, so between two
+tokens the previous token's after-program runs, then the next token's
+before-program. Output is written in runs between newlines; indentation
+is materialized lazily: the indent string for the current level is
+written before the first character of a line that is not a space or a
+tab.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from .annotations import (AnnotationStore, Attribute, NameValue, NodeMemo,
                           SeqValue, StrValue)
@@ -23,72 +24,48 @@ from .errors import WhitespaceError
 
 DEFAULT_INDENT_UNIT = "    "
 
-
-@dataclass(frozen=True)
-class Text:
-    text: str
-
-
-class _Directive:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-INC_INDENT = _Directive("IncIndent")
-DEC_INDENT = _Directive("DecIndent")
-
-WhitespaceProgram = Tuple[object, ...]
+WhitespaceProgram = Tuple[Union[str, int], ...]
+_STEPS = {"increaseIndent": 1, "decreaseIndent": -1}
 
 
 def decode_whitespace(value, where: str = "whitespace attribute") -> WhitespaceProgram:
     """Decode an attribute value into a whitespace program.
 
-    A plain string becomes a single Text item; a sequence may mix
-    strings with the name literals increaseIndent and decreaseIndent.
-    Anything else is a decode error.
+    A plain string becomes a single text run; a sequence may mix strings
+    with the name literals increaseIndent (1) and decreaseIndent (-1),
+    and adjacent strings are joined into one run. Anything else is a
+    decode error.
     """
     if isinstance(value, StrValue):
-        return (Text(value.text),)
-    if isinstance(value, SeqValue):
-        items = []
-        for member in value.items:
-            if isinstance(member, StrValue):
-                items.append(Text(member.text))
-            elif isinstance(member, NameValue):
-                if member.name == "increaseIndent":
-                    items.append(INC_INDENT)
-                elif member.name == "decreaseIndent":
-                    items.append(DEC_INDENT)
-                else:
-                    raise WhitespaceError(
-                        f"{where}: unknown name literal '{member.name}' in "
-                        "whitespace sequence (expected increaseIndent or "
-                        "decreaseIndent)")
+        return (value.text,)
+    if not isinstance(value, SeqValue):
+        raise WhitespaceError(
+            f"{where}: expected a string or a sequence value")
+    items: List[Union[str, int]] = []
+    for member in value.items:
+        if isinstance(member, StrValue):
+            if items and isinstance(items[-1], str):
+                items[-1] += member.text
             else:
-                raise WhitespaceError(
-                    f"{where}: whitespace sequences may only contain strings "
-                    "and indent directives")
-        return tuple(items)
-    raise WhitespaceError(
-        f"{where}: expected a string or a sequence value")
-
-
-def _describe(attr: Attribute) -> str:
-    line, col = attr.loc
-    if (line, col) != (0, 0):
-        return f"attribute '{attr.name}' at line {line}, column {col}"
-    return f"attribute '{attr.name}'"
+                items.append(member.text)
+        elif isinstance(member, NameValue) and member.name in _STEPS:
+            items.append(_STEPS[member.name])
+        elif isinstance(member, NameValue):
+            raise WhitespaceError(
+                f"{where}: unknown name literal '{member.name}' in "
+                "whitespace sequence (expected increaseIndent or "
+                "decreaseIndent)")
+        else:
+            raise WhitespaceError(
+                f"{where}: whitespace sequences may only contain strings "
+                "and indent directives")
+    return tuple(items)
 
 
 def _decode_attr(attr: Optional[Attribute]) -> Optional[WhitespaceProgram]:
     if attr is None:
         return None
-    return decode_whitespace(attr.value, _describe(attr))
+    return decode_whitespace(attr.value, attr.describe())
 
 
 class FormatterState:
@@ -123,17 +100,12 @@ class FormatterState:
 
     def run(self, program: WhitespaceProgram) -> None:
         for item in program:
-            if isinstance(item, Text):
-                self.emit_text(item.text)
-            elif item is INC_INDENT:
-                self.indent_level += 1
-            elif item is DEC_INDENT:
-                if self.indent_level == 0:
-                    warnings.warn("indent level underflow; clamping to 0")
-                else:
-                    self.indent_level -= 1
+            if isinstance(item, str):
+                self.emit_text(item)
+            elif self.indent_level + item < 0:
+                warnings.warn("indent level underflow; clamping to 0")
             else:
-                raise WhitespaceError(f"unknown whitespace item {item!r}")
+                self.indent_level += item
 
     def finish(self) -> str:
         out = "".join(line + "\n" for line in self.lines) + "".join(self.current)
@@ -175,7 +147,7 @@ def format_tree(tree: ParseTree, store: AnnotationStore) -> str:
     default_after = _decode_attr(store.attribute(root, "defaultAfter")) or ()
     unit = store.attribute(root, "indentUnit")
     if unit is not None and not isinstance(unit.value, StrValue):
-        raise WhitespaceError(f"{_describe(unit)}: indentUnit must be a string")
+        raise WhitespaceError(f"{unit.describe()}: indentUnit must be a string")
     state = FormatterState(DEFAULT_INDENT_UNIT if unit is None else unit.value.text)
     befores = NodeMemo(lambda gid: _decode_attr(store.attribute(gid, "before")))
     afters = NodeMemo(lambda gid: _decode_attr(store.attribute(gid, "after")))

@@ -235,6 +235,18 @@ class TestHighlight:
         assert (code, out) == (2, "")
         assert err == f"error: {palette}:2:1: invalid group name 'x{{}}y'\n"
 
+    def test_bad_woven_group_name(self, capsys, tmp_path):
+        files = {"s.g": "s : ID ;", "in.txt": "x", "one.lex": "ID = /[a-z]/\n",
+                 "g.aspect": "s : .. @ID: { group = 'my group' } ;"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "highlight", str(tmp_path / "s.g"),
+                             str(tmp_path / "in.txt"), "-a", str(tmp_path / "g.aspect"),
+                             "--lexer", str(tmp_path / "one.lex"), "--format", "html")
+        assert (code, out) == (2, "")
+        assert err == ("error: attribute 'group' at line 1, column 15: "
+                       "invalid group name 'my group'\n")
+
     def test_unparseable_input(self, capsys, tmp_path):
         src = tmp_path / "bad.java"
         src.write_text("class class\n", encoding="utf-8")

@@ -66,6 +66,25 @@ class TestAssignGroups:
         store = weave(tree, [parse_aspect("$r=# : {...} $r { group = wide } ;")])
         assert [s.group for s in assign_groups(pt, store)] == [PLAIN, PLAIN]
 
+    @pytest.mark.parametrize("attribute, group", [
+        ("group = 'my-group_2'", "my-group_2"), ("group = 3", PLAIN), ("group", PLAIN)])
+    def test_woven_group_values(self, attribute, group):
+        tree = parse_grammar("s : ID ;")
+        pt = parse_input(tree, "s", [Token("x", "ID", (0, 1))])
+        store = weave(tree, [parse_aspect("s : .. @ID: { " + attribute + " } ;")])
+        (span,) = assign_groups(pt, store)
+        assert span.group == group
+
+    def test_woven_group_name_checked(self):
+        # a palette could not name it, and HTML would read two classes
+        tree = parse_grammar("s : ID ;")
+        pt = parse_input(tree, "s", [Token("x", "ID", (0, 1))])
+        store = weave(tree, [parse_aspect("s : .. @ID: { group = 'my group' } ;")])
+        with pytest.raises(NotationError) as exc:
+            assign_groups(pt, store)
+        assert str(exc.value) == ("attribute 'group' at line 1, column 15: "
+                                  "invalid group name 'my group'")
+
     def test_spans_mirror_tokens(self, generics, highlight_store):
         _, pt = generics
         spans = assign_groups(pt, highlight_store)

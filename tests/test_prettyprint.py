@@ -1,8 +1,8 @@
 import pytest
 
-from gramweave import (DEC_INDENT, AnnotationStore, FormatterState,
-                       INC_INDENT, IntValue, NameValue, SeqValue, StrValue,
-                       Text, Token, WhitespaceError, decode_whitespace,
+from gramweave import (AnnotationStore, FormatterState, IntValue,
+                       NameValue, SeqValue, StrValue, Token,
+                       WhitespaceError, decode_whitespace,
                        format_tree, leaves, parse_annotation, parse_aspect,
                        parse_grammar, parse_input, token_contexts, tokenize,
                        weave)
@@ -37,13 +37,17 @@ def typeparams(java5, java_lexer):
 
 class TestDecode:
     @pytest.mark.parametrize("value, program", [
-        (StrValue(""), (Text(""),)),
-        (StrValue("\n"), (Text("\n"),)),
+        (StrValue(""), ("",)),
+        (StrValue("\n"), ("\n",)),
         (SeqValue((StrValue("\n"), NameValue("increaseIndent"))),
-         (Text("\n"), INC_INDENT)),
+         ("\n", 1)),
         (SeqValue((NameValue("decreaseIndent"), StrValue("\n"))),
-         (DEC_INDENT, Text("\n"))),
+         (-1, "\n")),
         (SeqValue(()), ()),
+        # adjacent strings join into one run; steps keep their place
+        (SeqValue((StrValue(" "), StrValue("\n"), NameValue("increaseIndent"),
+                   StrValue(" "))),
+         (" \n", 1, " ")),
     ])
     def test_programs(self, value, program):
         assert decode_whitespace(value) == program
@@ -66,15 +70,15 @@ class TestEffectiveWhitespace:
         brace = leaves(classbody)[2]
         assert brace.token.text == "{"
         before, after = effective_whitespace(brace, classbody, pretty_store)
-        assert before == (Text(""),)
-        assert after == (Text("\n"), INC_INDENT)
+        assert before == ("",)
+        assert after == ("\n", 1)
 
     def test_unannotated_token_gets_defaults(self, classbody, pretty_store):
         first = leaves(classbody)[0]
         assert first.token.text == "class"
         before, after = effective_whitespace(first, classbody, pretty_store)
-        assert before == (Text(""),)
-        assert after == (Text(" "),)
+        assert before == ("",)
+        assert after == (" ",)
 
     def test_after_inherited_from_enclosing_reference(self, classbody,
                                                       pretty_store):
@@ -83,14 +87,14 @@ class TestEffectiveWhitespace:
         semi = leaves(classbody)[5]
         assert semi.token.text == ";"
         _, after = effective_whitespace(semi, classbody, pretty_store)
-        assert after == (Text("\n"),)
+        assert after == ("\n",)
 
     def test_close_brace_programs(self, classbody, pretty_store):
         brace = leaves(classbody)[6]
         assert brace.token.text == "}"
         before, after = effective_whitespace(brace, classbody, pretty_store)
-        assert before == (DEC_INDENT, Text("\n"))
-        assert after == (Text("\n"),)
+        assert before == (-1, "\n")
+        assert after == ("\n",)
 
     def test_foreign_leaf_rejected(self, classbody, pretty_store,
                                    arith, arith_lexer):
@@ -102,11 +106,7 @@ class TestEffectiveWhitespace:
         total = 0
         for leaf in leaves(classbody):
             before, after = effective_whitespace(leaf, classbody, pretty_store)
-            for item in before + after:
-                if item is INC_INDENT:
-                    total += 1
-                elif item is DEC_INDENT:
-                    total -= 1
+            total += sum(item for item in before + after if isinstance(item, int))
         assert total == 0
 
 
@@ -171,6 +171,15 @@ class TestFormat:
             [("{", None), ("x", "ID"), ("}", None)])
         assert format_tree(pt, store) == "{\n>>x\n}"
 
+    @pytest.mark.parametrize("advice, out", [
+        ("", "x ;"),
+        ("s : .. @ID: { after = {{ }} } ;", "x;"),  # {{ }} runs in its place
+    ])
+    def test_empty_program_suppresses_default(self, advice, out):
+        pt, store = mini("s : ID ';' ;", "{ defaultAfter = {{ ' ' }}; }\n" + advice,
+                         [("x", "ID"), (";", None)])
+        assert format_tree(pt, store) == out
+
     def test_underflow_warns_and_clamps(self):
         pt, store = mini(
             "s : ID ;",
@@ -213,14 +222,14 @@ class TestFormatterState:
 
     def test_lazy_indent(self):
         state = FormatterState(indent_unit="  ")
-        state.run((Text("a"), INC_INDENT, Text("\n"), Text("b")))
+        state.run(("a", 1, "\n", "b"))
         assert state.finish() == "a\n  b"
 
     def test_indent_level_changes_immediately(self):
         # the level in force when ink appears is what gets emitted, even
         # if directives ran after the newline
         state = FormatterState(indent_unit="  ")
-        state.run((Text("a\n"), INC_INDENT, Text("b")))
+        state.run(("a\n", 1, "b"))
         assert state.finish() == "a\n  b"
 
 
