@@ -45,6 +45,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from . import grammar as g
 from .errors import NotationError, ParseError
 from .lexer import Token
+from .scan import escape_string
 
 
 class ParseLeaf(NamedTuple):
@@ -221,21 +222,25 @@ class _Compiled:
     production_id) of the parse node it builds, the ids its step opens in
     token contexts, the same ids in the order the step closes them, and its
     number of elements.  `spines` holds the first states of the step
-    productions, whose first element repeats the iteration.  `needs` holds
-    the first states of the productions in which a nonterminal element
-    lies two or more elements before the last nonterminal element.
+    productions, whose first element repeats the iteration.  `needs` maps
+    the first state of each production in which a nonterminal element lies
+    two or more elements before the last nonterminal element to the index
+    just past its first nonterminal element, the lowest whose viable
+    positions the extractor reads.
 
     `first[nt]` is the FIRST set of a nonterminal: the terminal codes its
-    derivations can start with.  `lead[s]`, by a production's first state,
-    is that production's FIRST set, or None when a prediction must add the
-    production before any token: it derives nothing, or predicting it
-    predicts a nullable nonterminal, whose empty completion the chart
-    records whatever follows.
+    derivations can start with.  A prediction must add a production before
+    any token when it derives nothing or its first element is in `wakes`,
+    the nonterminals with such a production, among them every nullable one,
+    whose empty completion the chart records whatever follows.  `lead[s]`,
+    by a production's first state, is None for such a production, else its
+    FIRST set.
 
     `loops` holds the states before an element that can take its
-    production's whole span and lies on a cycle of such unit links with
-    the production's nonterminal; `guarded` maps each nonterminal with such
-    a production to the members of its component.
+    production's whole span and reaches the production's nonterminal again
+    through such unit links; `guarded` maps each nonterminal with such a
+    production to the nonterminals on a cycle of links through it, itself
+    included.
     """
 
     def __init__(self, tree: g.GrammarTree):
@@ -246,7 +251,7 @@ class _Compiled:
         self.ref: List[bool] = []
         self.lhs, self.bit, self.size, self.tail = [], [], [], []  # of ints
         self.tag, self.heads, self.shut = [], [], []  # of tuples
-        self.spines, self.needs = set(), set()
+        self.spines, self.needs = set(), {}
         firsts: List[int] = []  # the first state of every production
         for node in g.iter_nodes(tree):
             nt, kind = node.id, node.kind
@@ -290,34 +295,26 @@ class _Compiled:
                 last = nts[-1] if nts else -1  # the last nonterminal element
                 self.tail += [-1] * (last + 1) + list(range(m - last - 1, -1, -1))
                 if nts and nts[0] < last - 1:
-                    self.needs.add(firsts[-1])
+                    self.needs[firsts[-1]] = nts[0] + 1
                 if elems and elems[0] is node:
                     self.spines.add(firsts[-1])
-        self.display = {code: f"'{sym[1]}'" if sym[0] == "lit" else sym[1]
+        self.display = {code: escape_string(sym[1]) if sym[0] == "lit" else sym[1]
                         for sym, code in self.codes.items()}
 
-        # nullable nonterminals, to fixpoint; a production's elements mostly
-        # have higher ids than its nonterminal, so walk the productions last
-        # to first.  Terminal codes are negative and never nullable.
+        # nullable, FIRST and `wakes` together, to fixpoint; a production's
+        # elements mostly have higher ids than its nonterminal, so walk the
+        # productions last to first.  Terminal codes are negative.
         after, lhs, size = self.after, self.lhs, self.size
         nullable = self.nullable = set()
-        changed = True
-        while changed:
-            changed = False
-            for s in reversed(firsts):
-                if lhs[s] not in nullable and all(a in nullable for a in after[s:s + size[s]]):
-                    nullable.add(lhs[s])
-                    changed = True
-        self.skip = [a in nullable for a in after]
-
-        # FIRST sets, to fixpoint the same way
+        wakes: set = set()
         first = self.first = {lhs[s]: set() for s in firsts}
         changed = True
         while changed:
             changed = False
             for s in reversed(firsts):
-                into = first[lhs[s]]
-                count = len(into)
+                nt = lhs[s]
+                into = first[nt]
+                count = len(into) + len(nullable) + len(wakes)
                 for a in after[s:s + size[s]]:
                     if a < 0:
                         into.add(a)
@@ -325,79 +322,43 @@ class _Compiled:
                     into |= first[a]
                     if a not in nullable:
                         break
-                changed |= len(into) != count
-
-        # nonterminals whose prediction predicts a nullable one, through the
-        # first elements of their productions
-        wakes = set()
-        changed = True
-        while changed:
-            changed = False
-            for s in reversed(firsts):
-                a = after[s]
-                if lhs[s] not in wakes and a is not None and a >= 0 \
-                        and (a in nullable or a in wakes):
-                    wakes.add(lhs[s])
-                    changed = True
-        # a production that starts with a non-nullable element has that
-        # element's FIRST set
-        lead: Dict[int, Optional[set]] = {}
-        for s in firsts:
-            a = after[s]
-            if a is None or a >= 0 and (a in nullable or a in wakes):
-                lead[s] = None
-            else:
-                lead[s] = {a} if a < 0 else first[a]
-        self.lead = lead
+                else:
+                    nullable.add(nt)
+                if after[s] is None or after[s] in wakes:
+                    wakes.add(nt)
+                changed |= len(into) + len(nullable) + len(wakes) != count
+        self.skip = [a in nullable for a in after]
+        self.lead = {s: None if a is None or a in wakes else {a} if a < 0 else first[a]
+                     for s in firsts for a in (after[s],)}
         self._predicted: Dict[int, list] = {}
 
         # unit links: a production of K may give one of its nonterminals K's
         # whole span when the elements before it are nullable (but K : K ')'
         # never does).  A span can be derived inside itself only around a
-        # cycle of links, so `loops` holds the elements that link back into
-        # their own nonterminal's strongly connected component.
+        # cycle of links, so `loops` holds the links (s, K, A) where A reaches
+        # K again, and `guarded[K]` the nonterminals on a cycle through K.
         unit = []  # (state, nonterminal, linked nonterminal)
         links: Dict[int, list] = {lhs[s]: [] for s in firsts}
-        back: Dict[int, list] = {lhs[s]: [] for s in firsts}
         for s in firsts:
             elems = after[s:s + size[s]]
             for j, a in enumerate(elems):
                 if a >= 0 and (a != lhs[s] or all(b in nullable for b in elems[j + 1:])):
                     unit.append((s + j, lhs[s], a))
                     links[lhs[s]].append(a)
-                    back[a].append(lhs[s])
                 if a not in nullable:
                     break
-        # Kosaraju: the finish order of walks along the links, then the
-        # components as walks against them in reverse finish order
-        order: List[int] = []
-        seen = set()
+        reach: Dict[int, set] = {}  # what each nonterminal reaches, itself included
         for root in links:
-            stack = [] if root in seen else [(root, iter(links[root]))]
-            seen.add(root)
+            seen = reach[root] = {root}
+            stack = [root]
             while stack:
-                for a in stack[-1][1]:
+                for a in links[stack.pop()]:
                     if a not in seen:
                         seen.add(a)
-                        stack.append((a, iter(links[a])))
-                        break
-                else:
-                    order.append(stack.pop()[0])
-        component: Dict[int, int] = {}
-        members: Dict[int, list] = {}
-        for root in reversed(order):
-            if root not in component:
-                component[root] = root
-                stack = [root]
-                while stack:
-                    nt = stack.pop()
-                    members.setdefault(root, []).append(nt)
-                    for a in back[nt]:
-                        if a not in component:
-                            component[a] = root
-                            stack.append(a)
-        self.loops = {s for s, nt, a in unit if component[a] == component[nt]}
-        self.guarded = {nt: members[component[nt]] for s, nt, a in unit if s in self.loops}
+                        stack.append(a)
+        self.loops = {s for s, nt, a in unit if nt in reach[a]}
+        self.guarded = {nt: [c for c in reach[nt] if nt in reach[c]]
+                        for s, nt, a in unit if s in self.loops}
 
     def predicted(self, code: int) -> list:
         """Per nonterminal, the first states of the productions that a
@@ -582,7 +543,7 @@ class _Extractor:
                 inner = None
                 mask = chart[hi][a][lo]  # bit k stands for starts[a][k]
                 state = starts[a][(mask & -mask).bit_length() - 1]
-                reach = self.viable(state, size[state], lo, hi) if state in needs else None
+                reach = self.viable(state, size[state], lo, hi, needs[state]) if state in needs else None
             row = -1 if at in spines else len(tags)  # a repeat shares its outermost row
             if row >= 0:
                 if at >= 0 and ref[at]:
@@ -652,13 +613,13 @@ class _Extractor:
         close_at.append(len(closed))
         return (tags, los, stops), TokenContexts(opened, open_at, closed, closed_lo, close_at)
 
-    def viable(self, state: int, m: int, lo: int, hi: int) -> list:
-        """Per element k > 0 of the production, the positions from which
-        elements k.. derive the tokens up to hi, walking the chart back."""
+    def viable(self, state: int, m: int, lo: int, hi: int, floor: int) -> list:
+        """Per element k >= floor > 0 of the production, the positions from
+        which elements k.. derive the tokens up to hi, walking the chart back."""
         after, codes, chart = self.cg.after, self.codes, self.chart
         out = [None] * (m + 1)
         out[m] = reach = {hi}
-        for k in range(m - 1, 0, -1):
+        for k in range(m - 1, floor - 1, -1):
             a = after[state + k]
             found = set()
             if a < 0:
@@ -676,12 +637,13 @@ class _Extractor:
     def choose(self, nt: int, lo: int, hi: int, inner: frozenset) -> tuple:
         """The first production of nt over lo..hi under the rule, as its first
         state and viable positions pinned to its split, where `inner` holds
-        nt and the members of its component open over all of lo..hi.
+        nt and the nonterminals of `guarded[nt]` open over all of lo..hi.
 
-        Another member derives the span under the rule when it derives it
-        with none of `inner` over the whole span, as cutting out repeats
-        leaves a derivation: the members that do are a least fixpoint, so
-        nothing searches and nothing recurses.
+        Another nonterminal of `guarded[nt]` derives the span under the rule
+        when it derives it with none of `inner` over the whole span, as
+        cutting out repeats leaves a derivation: the ones that do are a least
+        fixpoint, whatever their order, so nothing searches and nothing
+        recurses.
         """
         row = self.chart[hi]
         others = [c for c in self.cg.guarded[nt] if c not in inner and lo in row.get(c, ())]
@@ -707,7 +669,7 @@ class _Extractor:
             if not mask & cg.bit[state]:
                 continue
             m = cg.size[state]
-            reach = self.viable(state, m, lo, hi)
+            reach = self.viable(state, m, lo, hi, 1)
             if lo == hi:  # every element takes the whole span
                 if all(s not in loops or after[s] in derives for s in range(state, state + m)):
                     return state, reach

@@ -24,6 +24,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import LexError, NotationError
 from .grammar import GrammarTree, literal_texts
+from .scan import escape_string
 
 _LINE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*/(.*)/\s*(?:#.*)?$")
 
@@ -43,7 +44,7 @@ class Token(NamedTuple):
 
     @property
     def display(self) -> str:
-        return self.terminal if self.terminal else f"'{self.text}'"
+        return self.terminal if self.terminal else escape_string(self.text)
 
 
 def parse_lexer_spec(text: str, source: str = "<lexer>") -> LexerSpec:

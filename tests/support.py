@@ -180,6 +180,8 @@ class OracleGrammar:
         self.by_lhs: dict[tuple, list[_Prod]] = {}
         self.nullable: set = set()
         self.cyclic = False  # a search may try a nonterminal below itself over one span
+        self.loops: set = set()  # (production id, element index) of each link on a cycle
+        self.guarded: dict = {}  # per nonterminal on a cycle: those on a cycle through it
 
     def add(self, lhs, rhs, tag) -> _Prod:
         prod = _Prod(len(self.prods), lhs, tuple(rhs), tag)
@@ -266,6 +268,7 @@ def oracle_compile(tree: G.GrammarTree) -> OracleGrammar:
         return all(o[0] == "nt" and o[1] in cg.nullable for o in syms)
 
     links: dict[tuple, set] = {key: set() for key in cg.by_lhs}
+    unit = []  # (production id, element index, nonterminal, linked nonterminal)
     for prod in cg.prods:
         syms = [e.sym for e in prod.rhs]
         for j, sym in enumerate(syms):
@@ -273,6 +276,21 @@ def oracle_compile(tree: G.GrammarTree) -> OracleGrammar:
                 continue
             if sym[1] != prod.lhs or nullable(syms[j + 1:]):
                 links[prod.lhs].add(sym[1])
+                unit.append((prod.pid, j, prod.lhs, sym[1]))
+    # the transitive closure of the links, grown until it stops; a link
+    # from K to A lies on a cycle when A is K or reaches K
+    closure = {key: set(targets) for key, targets in links.items()}
+    grew = True
+    while grew:
+        grew = False
+        for reached in closure.values():
+            more = set().union(*(closure[c] for c in reached)) - reached
+            reached |= more
+            grew |= bool(more)
+    for pid, j, key, target in unit:
+        if target == key or key in closure[target]:
+            cg.loops.add((pid, j))
+            cg.guarded[key] = {key} | {c for c in closure[key] if key in closure[c]}
     # peel off keys without incoming links; what remains lies on a cycle
     incoming = {key: 0 for key in links}
     for targets in links.values():

@@ -255,6 +255,16 @@ class TestHighlight:
         assert code == 3
         assert err == f"error: {src}:1:7: unexpected 'class' (expected IDENTIFIER)\n"
 
+    def test_escaped_literals_in_parse_error(self, capsys, tmp_path, empty_aspect):
+        files = {"s.g": "s : 'a' '\\n' 'b' ;", "ab.txt": "ab", "one.lex": "ID = /[a-z]/\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        src = tmp_path / "ab.txt"
+        code, out, err = run(capsys, "format", str(tmp_path / "s.g"), str(src),
+                             "-a", empty_aspect, "--lexer", str(tmp_path / "one.lex"))
+        assert (code, out) == (3, "")
+        assert err == f"error: {src}:1:2: unexpected 'b' (expected '\\n')\n"
+
     def test_lex_error(self, capsys, tmp_path, empty_aspect):
         src = tmp_path / "bad.txt"
         src.write_text("1+@\n", encoding="utf-8")

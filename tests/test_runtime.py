@@ -238,6 +238,17 @@ class TestParse:
         # the library names the offset; the command line names file:line:col
         assert str(exc.value) == "offset 2: unexpected INT (expected DIV, MINUS, MULT, PLUS)"
 
+    @pytest.mark.parametrize("text, message", [
+        ("ab", "offset 1: unexpected 'b' (expected '\\n')"),
+        ("\n\n", "offset 1: unexpected '\\n' (expected '\\'')"),
+        ("a'", "offset 1: unexpected '\\'' (expected '\\n')"),
+    ], ids=["expected-newline", "unexpected-newline", "unexpected-quote"])
+    def test_literals_spelled_as_in_the_grammar(self, text, message):
+        tree = parse_grammar("s : 'a' '\\n' 'b' | '\\n' '\\'' ;")
+        with pytest.raises(ParseError) as exc:
+            parse_input(tree, "s", tokenize(parse_lexer_spec(""), tree, text))
+        assert str(exc.value) == message
+
     def test_leaves_are_the_token_stream(self, java5, java_lexer):
         text = fixture("inputs/generics.java")
         tokens = tokenize(java_lexer, java5, text)
@@ -664,12 +675,27 @@ class TestCompileOracle:
         assert {nt: len(firsts) for nt, firsts in enumerate(got.starts) if firsts} == \
             {key[1]: len(prods) for key, prods in want.by_lhs.items()}
         assert got.nullable == {key[1] for key in want.nullable}
+        # the oracle's k-th production of a key is the k-th of its nonterminal
+        first = {prod.pid: got.starts[key[1]][k]
+                 for key, prods in want.by_lhs.items() for k, prod in enumerate(prods)}
+        assert got.loops == {first[pid] + j for pid, j in want.loops}
+        assert {nt: set(cycle) for nt, cycle in got.guarded.items()} == \
+            {key[1]: {c[1] for c in cycle} for key, cycle in want.guarded.items()}
         assert bool(got.loops) == want.cyclic
         return got
 
     @pytest.mark.parametrize("name", ["arith.g", "java5.g", "java14.g"])
     def test_fixtures(self, name):
         assert self.assert_like_oracle(parse_grammar(fixture(name), name)).nullable
+
+    def test_link_into_a_cycle(self):
+        # s links into the cycle of a and b but lies on no cycle; a has two
+        # productions, so no alternative node stands between a and b
+        tree = parse_grammar("s : a ;\na : b : 'x' ;\nb : a ;")
+        got = self.assert_like_oracle(tree)
+        s, a, b = (tree.rule_index[name].id for name in "sab")
+        assert got.loops == {got.starts[a][0], got.starts[b][0]}
+        assert {nt: set(cycle) for nt, cycle in got.guarded.items()} == {a: {a, b}, b: {a, b}}
 
     def test_randomized(self):
         rng = random.Random(70)

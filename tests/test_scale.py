@@ -170,7 +170,7 @@ class TestExtractionWork:
         for text in (fixture("inputs/expr.txt"), nested_arith_text(1000),
                      chain_arith_text(2999)):
             parse_input(arith, "expr", tokenize(arith_lexer, arith, text))
-        assert earley._compiled[arith].needs == set()
+        assert earley._compiled[arith].needs == {}
         assert viable_states == []
 
     def test_java_walks_back_only_where_needed(self, java5, java_lexer, viable_states):
@@ -180,9 +180,10 @@ class TestExtractionWork:
         tokens = tokenize(java_lexer, java5, java_class_text(280))
         parse_input(java5, "normalClassDeclaration", tokens)
         cg = earley._compiled[java5]
-        assert sorted(java5.by_id[cg.lhs[s]].detail for s in cg.needs) == [
-            "normalClassDeclaration", "type"]
-        assert viable_states and set(viable_states) <= cg.needs
+        # each walks back only to the element past its first nonterminal
+        assert sorted((java5.by_id[cg.lhs[s]].detail, floor) for s, floor in cg.needs.items()) == [
+            ("normalClassDeclaration", 3), ("type", 2)]
+        assert viable_states and set(viable_states) <= cg.needs.keys()
         assert len(viable_states) <= 425
 
 
