@@ -28,7 +28,7 @@ assignment is stable across runs for identical input text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotationError
 from .scan import Lexed, escape_string
@@ -53,24 +53,29 @@ OPT = "opt"
 SUFFIX_KIND = {"*": STAR, "+": PLUS, "?": OPT}
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class GtNode:
-    """One grammar tree node.
+    """One grammar tree node, built once by parse_grammar and finished in
+    place.  Nothing changes a node after parse_grammar returns; the
+    compiled parser tables rely on it.
 
     detail holds the per-kind payload: the name for symbol_def/symbol_ref,
     the text for literal, the iteration kind (star/plus/opt) for iteration,
     None otherwise.  The nodes of one tree share its pre-order table
     (index = id); a node's subtree is the run of ids from its own up to
-    end, exclusive.
+    end, exclusive.  Nodes compare by identity; repr names no child.
     """
 
-    id: int
-    kind: str
-    detail: str | None
-    children: tuple["GtNode", ...]
-    span: tuple[int, int]
-    end: int
-    _preorder: list["GtNode"] = field(repr=False)
+    __slots__ = ("id", "kind", "detail", "children", "span", "end", "_preorder")
+
+    def __init__(self, kind: str, detail: str | None, children, span: tuple[int, int]):
+        self.kind = kind
+        self.detail = detail
+        self.children = children  # a tuple once parse_grammar returns
+        self.span = span
+
+    def __repr__(self) -> str:
+        return (f"GtNode(id={self.id}, kind={self.kind!r}, "
+                f"detail={self.detail!r}, span={self.span})")
 
     def is_terminal_ref(self) -> bool:
         return self.kind == SYMBOL_REF and self.detail[0].isupper()
@@ -106,11 +111,7 @@ def iter_nodes(tree: GrammarTree):
 
 def literal_texts(tree: GrammarTree) -> list[str]:
     """All distinct literal texts, in first-appearance order."""
-    seen: dict[str, None] = {}
-    for n in iter_nodes(tree):
-        if n.kind == LITERAL:
-            seen.setdefault(n.detail)
-    return list(seen)
+    return list(dict.fromkeys(n.detail for n in iter_nodes(tree) if n.kind == LITERAL))
 
 
 # -- parsing -----------------------------------------------------------------
@@ -129,22 +130,10 @@ def _starts_atom(lexeme: tuple, text: str) -> bool:
     return kind == "#" and text.startswith("#empty", start)
 
 
-class _Raw:
-    """Mutable node used during parsing, frozen into GtNode afterwards."""
-
-    __slots__ = ("kind", "detail", "children", "span", "id")
-
-    def __init__(self, kind, detail, children, span):
-        self.kind = kind
-        self.detail = detail
-        self.children = children
-        self.span = span
-
-
 def parse_grammar(text: str, source: str = "<grammar>") -> GrammarTree:
     src = Lexed(text, source)
     lexemes, fail = src.lexemes, src.fail
-    rules: list[_Raw] = []
+    rules: list[GtNode] = []
     names: dict[str, int] = {}
     i = 0
     while lexemes[i][0] != "eof":
@@ -165,12 +154,12 @@ def parse_grammar(text: str, source: str = "<grammar>") -> GrammarTree:
             prods.append(prod)
         if lexemes[i][0] != ";":
             fail(f"expected ';' in rule '{name}'", lexemes[i][2])
-        rules.append(_Raw(SYMBOL_DEF, name, prods, (start, lexemes[i][3])))
+        rules.append(GtNode(SYMBOL_DEF, name, prods, (start, lexemes[i][3])))
         i += 1
-    return _freeze(_Raw(GRAMMAR, None, rules, (0, len(text))), names, src)
+    return _freeze(GtNode(GRAMMAR, None, rules, (0, len(text))), names, src)
 
 
-def _production(src: Lexed, i: int) -> tuple[_Raw, int]:
+def _production(src: Lexed, i: int) -> tuple[GtNode, int]:
     """Parse the production body that starts at lexeme i; return it and the
     index of the lexeme after it.
 
@@ -190,13 +179,13 @@ def _production(src: Lexed, i: int) -> tuple[_Raw, int]:
             members, items, opened = [], [], start
             continue
         if kind == "name":
-            atom = _Raw(SYMBOL_REF, value, (), (start, end))
+            atom = GtNode(SYMBOL_REF, value, (), (start, end))
         elif kind == "str":
             if not value:
                 fail("empty literal", start)
-            atom = _Raw(LITERAL, value, (), (start, end))
+            atom = GtNode(LITERAL, value, (), (start, end))
         elif kind == "#empty":
-            atom = _Raw(EMPTY, None, (), (start, end))
+            atom = GtNode(EMPTY, None, (), (start, end))
         elif kind == "bad" and value == "'":
             src.bad_string(start)
         else:
@@ -204,24 +193,23 @@ def _production(src: Lexed, i: int) -> tuple[_Raw, int]:
         while True:  # the atom is complete; close every group that ends here
             kind = lexemes[i][0]
             if kind in SUFFIX_KIND:
-                atom = _Raw(ITERATION, SUFFIX_KIND[kind], [atom],
-                            (atom.span[0], lexemes[i][3]))
+                atom = GtNode(ITERATION, SUFFIX_KIND[kind], [atom], (atom.span[0], lexemes[i][3]))
                 i += 1
                 kind = lexemes[i][0]
             items.append(atom)
             if kind in _ATOM_START or kind in ("bad", "#") and _starts_atom(lexemes[i], src.text):
                 break
             members.append(items[0] if len(items) == 1 else
-                           _Raw(SEQUENCE, None, items, (items[0].span[0], items[-1].span[1])))
+                           GtNode(SEQUENCE, None, items, (items[0].span[0], items[-1].span[1])))
             if kind == "|":
                 items = []
                 i += 1
                 break
             body = members[0] if len(members) == 1 else \
-                _Raw(ALTERNATIVE, None, members, (members[0].span[0], members[-1].span[1]))
+                GtNode(ALTERNATIVE, None, members, (members[0].span[0], members[-1].span[1]))
             if opened is None:
                 children = body.children if body.kind == SEQUENCE else [body]
-                return _Raw(PRODUCTION, None, children, body.span), i
+                return GtNode(PRODUCTION, None, children, body.span), i
             if kind != ")":
                 fail("expected ')'", lexemes[i][2])
             body.span = (opened, lexemes[i][3])
@@ -230,10 +218,10 @@ def _production(src: Lexed, i: int) -> tuple[_Raw, int]:
             members, items, opened = outer.pop()
 
 
-def _freeze(root: _Raw, names: dict[str, int], src: Lexed) -> GrammarTree:
-    """Number the nodes in pre-order, check that every nonterminal reference
-    names a rule, then build the GtNodes children first."""
-    order: list[_Raw] = []
+def _freeze(root: GtNode, names: dict[str, int], src: Lexed) -> GrammarTree:
+    """Number the nodes in pre-order and check that every nonterminal
+    reference names a rule, then finish them in place, children first."""
+    order: list[GtNode] = []
     stack = [root]
     while stack:
         n = stack.pop()
@@ -243,17 +231,12 @@ def _freeze(root: _Raw, names: dict[str, int], src: Lexed) -> GrammarTree:
             stack.extend(reversed(n.children))
         elif n.kind == SYMBOL_REF and n.detail not in names and not n.detail[0].isupper():
             src.fail(f"reference to undefined rule '{n.detail}'", n.span[0])
-    nodes: list[GtNode] = [None] * len(order)
     for n in reversed(order):
-        if n.children:
-            kids = tuple([nodes[c.id] for c in n.children])
-            end = kids[-1].end
-        else:
-            kids, end = (), n.id + 1
-        nodes[n.id] = GtNode(n.id, n.kind, n.detail, kids, n.span, end, nodes)
-    root = nodes[0]
+        n.children = kids = tuple(n.children)
+        n.end = kids[-1].end if kids else n.id + 1
+        n._preorder = order
     index = {sd.detail: sd for sd in root.children}
-    return GrammarTree(root, index, dict(enumerate(nodes)), src.text, src.source)
+    return GrammarTree(root, index, dict(enumerate(order)), src.text, src.source)
 
 
 # -- serialization -----------------------------------------------------------

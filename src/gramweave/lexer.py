@@ -103,6 +103,6 @@ def tokenize(spec: LexerSpec, grammar: GrammarTree, text: str) -> List[Token]:
             if m is not None and m.end() > end:
                 end, terminal = m.end(), name
         if end == pos:
-            raise LexError(f"no token matches {text[pos:pos + 10]!r}", pos)
+            raise LexError(f"no token matches {escape_string(text[pos:pos + 10])}", pos)
         tokens.append(Token(text[pos:end], terminal, (pos, end)))
         pos = end

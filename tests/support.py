@@ -1149,7 +1149,7 @@ def reference_tokenize(spec, grammar: G.GrammarTree, text: str) -> list:
                 if best is None or key > best[0]:
                     best = (key, text[pos:m.end()], name)
         if best is None:
-            raise LexError(f"no token matches {text[pos:pos + 10]!r}", pos)
+            raise LexError(f"no token matches {escape_string(text[pos:pos + 10])}", pos)
         (length, _, _), matched, terminal = best
         tokens.append(Token(matched, terminal, (pos, pos + length)))
         pos += length

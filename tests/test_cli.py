@@ -272,6 +272,12 @@ class TestHighlight:
                            "-a", empty_aspect, "--lexer", ARITH_LEX)
         assert code == 3
         assert err == f"error: {src}:1:3: no token matches '@\\n'\n"
+        # the unmatched text is spelled as a literal, as in parse errors
+        src.write_text("1+'b\n", encoding="utf-8")
+        code, _, err = run(capsys, "highlight", ARITH, str(src),
+                           "-a", empty_aspect, "--lexer", ARITH_LEX)
+        assert code == 3
+        assert err == f"error: {src}:1:3: no token matches '\\'b\\n'\n"
 
     @pytest.mark.parametrize("command", ["highlight", "format"])
     def test_errors_on_line_three(self, capsys, tmp_path, command):

@@ -97,6 +97,12 @@ class TestTokenize:
         assert exc.value.position == 2
         assert "no token matches" in str(exc.value)
 
+    def test_no_match_spelled_as_a_literal(self):
+        grammar = parse_grammar("s : 'a' ;")
+        with pytest.raises(LexError) as exc:
+            tokenize(parse_lexer_spec(""), grammar, "a'b\tc")
+        assert str(exc.value) == "offset 1: no token matches '\\'b\\tc'"
+
     def test_spans_reassemble_input(self, java5, java_lexer):
         text = fixture("inputs/generics.java")
         tokens = tokenize(java_lexer, java5, text)

@@ -199,6 +199,11 @@ class TestGrammar:
             ("grammar", None, 1), ("symbol_def", "s", 1), ("production", None, 1)) + \
             (("iteration", "star", 1),) * depth + (("symbol_ref", "ID", 0),)
         assert len(descendants(tree.root)) == depth + 3
+        # repr names no child, so it neither recurses nor repeats subtrees
+        printed = repr(tree)  # root, rule_index, then by_id: each node once
+        assert printed.count("GtNode(") == 2 + len(tree.by_id) == depth + 6
+        node = tree.by_id[3]
+        assert repr(node) == f"GtNode(id=3, kind='iteration', detail='star', span={node.span})"
 
     def test_deep_serialization(self):
         for depth in (50, 1000):
