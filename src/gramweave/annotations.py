@@ -19,13 +19,11 @@ snapshot-tested.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 from .errors import ConflictError, NotationError
-from .grammar import GrammarTree
+from .grammar import GrammarTree, parse_grammar
 from .scan import Lexed
 
 # Single-character values allowed inside {{ }} sequences.
@@ -295,51 +293,35 @@ def annotation_at(src: Lexed, i: int) -> tuple[Annotation, int]:
 # The store
 
 
-@dataclass(frozen=True)
-class NodeMeta:
-    """What a store document records about a grammar-tree node."""
-
-    kind: str
-    detail: Optional[str]
-    span: Tuple[int, int]
-    children: Tuple[int, ...]
-
-
 class AnnotationStore:
     """Annotations keyed by grammar-tree node id.
 
-    The store knows the shape of the tree it was built for (node ids, kinds,
-    spans) so that attachments can be validated and serialized.  nodes maps
-    each node id to its NodeMeta, or, for a store made by for_tree, is the
-    tree's own by_id table, read in place.  Each annotated node maps
-    ``(namespace, name)`` to its attribute, in attach order.
+    The store holds the grammar tree it was built for, so that attachments
+    can be validated and the tree written out with the annotations.  Each
+    annotated node maps ``(namespace, name)`` to its attribute, in attach
+    order.
     """
 
-    def __init__(self, nodes: dict, root_id: int):
-        self._nodes = nodes  # node id -> NodeMeta or GtNode
-        self._root_id = root_id
+    def __init__(self, tree: GrammarTree):
+        self.tree = tree
         self._by_node: dict = {}  # node id -> {(namespace, name): Attribute}
-
-    @classmethod
-    def for_tree(cls, tree: GrammarTree) -> "AnnotationStore":
-        return cls(tree.by_id, tree.root.id)
 
     @property
     def root_id(self) -> int:
-        return self._root_id
+        return self.tree.root.id
 
-    def node_meta(self, node_id: int) -> NodeMeta:
-        node = self._nodes[node_id]
-        if isinstance(node, NodeMeta):
-            return node
-        return NodeMeta(node.kind, node.detail, node.span, tuple(c.id for c in node.children))
+    def node_meta(self, node_id: int) -> tuple:
+        """A node's (kind, detail, span, child ids), values that compare
+        equal across two parses of one grammar text."""
+        node = self.tree.by_id[node_id]
+        return node.kind, node.detail, node.span, tuple(c.id for c in node.children)
 
     def annotation_for(self, node_id: int) -> Annotation:
         return Annotation(tuple(self._by_node.get(node_id, {}).values()))
 
     @property
     def grammar_annotation(self) -> Optional[Annotation]:
-        attrs = self._by_node.get(self._root_id)
+        attrs = self._by_node.get(self.root_id)
         return Annotation(tuple(attrs.values())) if attrs else None
 
     def annotated_nodes(self) -> Iterator[int]:
@@ -352,7 +334,7 @@ class AnnotationStore:
         Re-attaching an identical (namespace, name, value) triple is a no-op;
         a different value for an existing key raises ConflictError.
         """
-        if node_id not in self._nodes:
+        if node_id not in self.tree.by_id:
             raise KeyError(f"node {node_id} is not part of this store's tree")
         existing = self._by_node.setdefault(node_id, {})
         for attr in annotation.attributes:
@@ -361,10 +343,9 @@ class AnnotationStore:
             if clash is None:
                 existing[attr.key] = incoming
             elif clash.value != attr.value:
-                meta = self._nodes[node_id]
-                raise ConflictError(node_id, meta.span, attr.namespace, attr.name,
-                                    clash.value, clash.provenance,
-                                    attr.value, incoming.provenance)
+                raise ConflictError(node_id, self.tree.by_id[node_id].span,
+                                    attr.namespace, attr.name, clash.value,
+                                    clash.provenance, attr.value, incoming.provenance)
         if not existing:
             del self._by_node[node_id]
         return self
@@ -384,7 +365,7 @@ class AnnotationStore:
             return NotImplemented
         mine = {n: tuple(a.values()) for n, a in self._by_node.items()}
         theirs = {n: tuple(a.values()) for n, a in other._by_node.items()}
-        return self._root_id == other._root_id and mine == theirs
+        return self.tree.source == other.tree.source and mine == theirs
 
     def __len__(self) -> int:
         return sum(len(attrs) for attrs in self._by_node.values())
@@ -412,185 +393,66 @@ class NodeMemo(dict):
 # ---------------------------------------------------------------------------
 # Serialization
 
-# The JSON layout is fixed so woven output is byte-stable.  It is what
-# json.dumps(doc, indent=2) writes (ASCII only, key order as below):
-#   {"version": 1,
-#    "grammar": {"root": 0, "nodes": [{"id", "kind", "detail", "span",
-#                                      "children"}, ...]},   ascending id
-#    "annotations": [{"node", "namespace", "name", "value", "provenance"},
-#                    ...]}                     ascending node id, attach order
+# A store document is ASCII JSON, laid out so that it is byte-stable and
+# diffs line by line.  Its first line holds the grammar once, as its text:
+#   {"version":2,"grammar":{"source":<origin>,"text":<text>},"annotations":[
+# then one compact entry per attribute, ascending node id, attach order:
+#   [node, namespace, name, value, aspect, rule]
+# (aspect and rule null when the attribute has no provenance), and "]}".
+# A value is a flat pre-order list of items, so JSON nests a few levels
+# deep however deep the value does:
+#   ["int", n] ["str", s] ["name", s] ["punct", c] ["flag"]  (no value)
+#   ["seq", k]     followed by its k items' values
+#   ["record", k]  followed by k attributes, each ["attr", namespace, name]
+#                  and then its value's items
 
-
-# the scalar values by their "type" in a store document: class and field
+# the scalar values by their item kind: class and field
 _SCALAR_FIELDS = {"int": (IntValue, "value"), "str": (StrValue, "text"),
                   "name": (NameValue, "name"), "punct": (PunctValue, "char")}
 _SCALAR_TYPES = {cls: (kind, name) for kind, (cls, name) in _SCALAR_FIELDS.items()}
 
 
-def _value_from_json(data) -> Optional[Value]:
-    """The value a store document spells.  Its JSON objects are listed in
-    pre-order, last part first, then built in reverse, so each sequence
-    or record finds its parts built last on the values list."""
-    order, todo = [], [data]
+def _items(value: Optional[Value]) -> list:
+    """A value's flat item list: one loop over a stack of what is still to
+    write, last first."""
+    out, todo = [], [value]
     while todo:
-        item = todo.pop()
-        order.append(item)
-        if item is not None and item["type"] == "seq":
-            todo.extend(item["items"])
-        elif item is not None and item["type"] == "record":
-            todo.extend(a["value"] for a in item["attributes"])
-    values = []
-    for item in reversed(order):
-        kind = None if item is None else item["type"]
-        if kind in ("seq", "record"):
-            parts = item["items" if kind == "seq" else "attributes"]
-            built = values[len(values) - len(parts):]
-            del values[len(values) - len(parts):]
-            values.append(SeqValue(tuple(built)) if kind == "seq" else RecordValue(
-                Annotation(tuple(map(_attribute, parts, built)))))
-        elif kind in _SCALAR_FIELDS:
-            cls, name = _SCALAR_FIELDS[kind]
-            values.append(cls(_checked(item[name], _is_int if cls is IntValue else _is_str,
-                                       f"a value of type {kind!r}")))
-        elif item is None:
-            values.append(None)
-        else:
-            raise NotationError(f"unknown value type {kind!r} in store document")
-    return values[0]
-
-
-def _quote(text: Optional[str]) -> str:
-    return "null" if text is None else encode_basestring_ascii(text)
-
-
-def _int_list(values) -> str:
-    """A list of ints as it stands in a node entry, its items 10 spaces in."""
-    if not values:
-        return "[]"
-    return "[\n          " + ",\n          ".join(map(str, values)) + "\n        ]"
-
-
-def _entries(items: list, indent: str) -> str:
-    """A JSON list of already indented entries; indent is the list's own."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-
-
-_NODE = """      {{
-        "id": {},
-        "kind": {},
-        "detail": {},
-        "span": [
-          {},
-          {}
-        ],
-        "children": {}
-      }}"""
-
-_ANNOTATION = """    {{
-      "node": {},
-      "namespace": {},
-      "name": {},
-      "value": {},
-      "provenance": {}
-    }}"""
-
-_PROVENANCE = """{{
-        "aspect": {},
-        "rule": {}
-      }}"""
-
-_SCALAR = '{{\n{0}  "type": "{1}",\n{0}  "{2}": {3}\n{0}}}'
-
-
-def _child_ids(node):
-    """A NodeMeta holds its children's ids, a grammar-tree node its children."""
-    if isinstance(node, NodeMeta):
-        return node.children
-    return [c.id for c in node.children]
-
-
-def _scalar_text(value, pad: str) -> str:
-    """A scalar value or None, its closing brace pad spaces in."""
-    if value is None:
-        return "null"
-    kind, name = _SCALAR_TYPES[type(value)]
-    text = getattr(value, name)
-    return _SCALAR.format(pad, kind, name, json.dumps(text) if kind == "int" else _quote(text))
-
-
-def _value_text(value: Optional[Value]) -> str:
-    """A value as json.dumps(indent=2) writes it in an annotation entry:
-    its fields 8 spaces in, its closing brace 6.
-
-    A scalar is one template.  Sequences and records write their heads at
-    once and leave their parts, separators and ends on a stack of what is
-    still to write, last first, so values nest to any depth.
-    """
-    if value is None or type(value) in _SCALAR_TYPES:  # most values
-        return _scalar_text(value, "      ")
-    out, todo = [], [(value, "      ")]
-    while todo:
-        item = todo.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        value, pad = item
-        inner = pad + "  "
-        if value is None or type(value) in _SCALAR_TYPES:
-            out.append(_scalar_text(value, pad))
+        value = todo.pop()
+        if value is None:
+            out.append(["flag"])
         elif type(value) is Attribute:
-            out.append(f'{{\n{inner}"namespace": {_quote(value.namespace)},\n'
-                       f'{inner}"name": {_quote(value.name)},\n{inner}"value": ')
-            todo += ("\n" + pad + "}", (value.value, inner))
+            out.append(["attr", value.namespace, value.name])
+            todo.append(value.value)
+        elif type(value) is SeqValue:
+            out.append(["seq", len(value.items)])
+            todo.extend(reversed(value.items))
+        elif type(value) is RecordValue:
+            out.append(["record", len(value.annotation.attributes)])
+            todo.extend(reversed(value.annotation.attributes))
         else:
-            kind, name, parts = ("seq", "items", value.items) if type(value) is SeqValue \
-                else ("record", "attributes", value.annotation.attributes)
-            out.append(f'{{\n{inner}"type": "{kind}",\n{inner}"{name}": ')
-            if not parts:
-                out.append("[]\n" + pad + "}")
-                continue
-            out.append("[\n" + inner + "  ")
-            todo.append("\n" + inner + "]\n" + pad + "}")
-            for k in range(len(parts) - 1, -1, -1):
-                todo.append((parts[k], inner + "  "))
-                if k:
-                    todo.append(",\n" + inner + "  ")
-    return "".join(out)
+            kind, name = _SCALAR_TYPES[type(value)]
+            out.append([kind, getattr(value, name)])
+    return out
 
 
 def serialize_store(store: AnnotationStore) -> str:
-    """Write the layout above from templates, without building the document."""
-    nodes = []
-    for node_id in sorted(store._nodes):
-        node = store._nodes[node_id]
-        nodes.append(_NODE.format(node_id, _quote(node.kind), _quote(node.detail),
-                                  *node.span, _int_list(_child_ids(node))))
-    annotations = []
+    """Write the store document laid out above."""
+    import json
+    dumps = json.JSONEncoder(separators=(",", ":")).encode  # ASCII only
+    tree = store.tree
+    head = '{"version":2,"grammar":{"source":%s,"text":%s},"annotations":[' % (
+        dumps(tree.origin), dumps(tree.source))
+    entries = []
     for node_id in store.annotated_nodes():
         for attr in store._by_node[node_id].values():
-            prov = attr.provenance
-            annotations.append(_ANNOTATION.format(
-                node_id, _quote(attr.namespace), _quote(attr.name),
-                _value_text(attr.value),
-                "null" if prov is None else _PROVENANCE.format(
-                    prov.aspect, "null" if prov.rule is None else prov.rule)))
-    return ('{\n  "version": 1,\n  "grammar": {\n    "root": %s,\n    "nodes": %s\n  },'
-            '\n  "annotations": %s\n}\n'
-            % (store.root_id, _entries(nodes, "    "), _entries(annotations, "  ")))
+            prov = attr.provenance or (None, None)
+            entries.append(dumps([node_id, attr.namespace, attr.name, _items(attr.value),
+                                  *prov]))
+    return "\n".join(filter(None, [head, ",\n".join(entries), "]}"])) + "\n"
 
 
 def _is_int(value) -> bool:
     return type(value) is int  # JSON true and false load as bool, an int subclass
-
-
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_int, value))
-
-
-def _is_span(value) -> bool:
-    return _is_int_list(value) and len(value) == 2
 
 
 def _is_str(value) -> bool:
@@ -607,45 +469,85 @@ def _checked(value, test, what: str):
     return value
 
 
-def _attribute(entry, value: Optional[Value]) -> Attribute:
-    """The attribute a store document's entry names, holding value."""
-    return Attribute(_checked(entry["name"], _is_str, "an attribute name"),
-                     _checked(entry["namespace"], _is_text, "an attribute namespace"), value)
+def _value(items) -> Optional[Value]:
+    """The value a flat item list spells: one loop, with the sequences and
+    records still open on a stack of [kind, parts left, parts, attribute
+    head], innermost last; the bottom frame takes the one whole value."""
+    frames = [["value", 1, [], None]]
+    for item in _checked(items, lambda v: type(v) is list, "a value"):
+        if not frames[0][1]:
+            raise NotationError("a value in store document has leftover items")
+        frame = frames[-1]
+        kind = item[0] if type(item) is list and item else None
+        size = len(item) if kind else 0
+        if frame[0] == "record" and frame[3] is None:  # an attribute's head
+            if kind != "attr" or size != 3:
+                raise NotationError(f"expected an attribute head in store document: {item!r}")
+            frame[3] = (_checked(item[2], _is_str, "an attribute name"),
+                        _checked(item[1], _is_text, "an attribute namespace"))
+            continue
+        if kind in _SCALAR_FIELDS and size == 2:
+            cls = _SCALAR_FIELDS[kind][0]
+            value = cls(_checked(item[1], _is_int if cls is IntValue else _is_str,
+                                 f"a value of type {kind!r}"))
+        elif kind == "flag" and size == 1 and frame[0] != "seq":
+            value = None
+        elif (kind == "seq" or kind == "record") and size == 2:
+            if _checked(item[1], lambda k: _is_int(k) and k >= 0, f"a {kind} length"):
+                frames.append([kind, item[1], [], None])
+                continue
+            value = SeqValue(()) if kind == "seq" else RecordValue(Annotation())
+        else:
+            raise NotationError(f"unknown value item {item!r} in store document")
+        while True:  # hand the value to its frame, closing each frame it fills
+            frame = frames[-1]
+            if frame[0] == "record":
+                name, namespace = frame[3]
+                frame[2].append(Attribute(name, namespace, value))
+                frame[3] = None
+            else:
+                frame[2].append(value)
+            frame[1] -= 1
+            if frame[1] or len(frames) == 1:
+                break
+            frames.pop()
+            value = SeqValue(tuple(frame[2])) if frame[0] == "seq" else \
+                RecordValue(Annotation(tuple(frame[2])))
+    if len(frames) != 1 or frames[0][1]:
+        raise NotationError("a value in store document ends before its parts do")
+    return frames[0][2][0]
 
 
 def deserialize_store(text: str) -> AnnotationStore:
+    """Read a store document back: parse its grammar text, then attach each
+    entry to the tree's own nodes."""
+    import json
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NotationError(f"store document is not valid JSON: {exc}")
-    except RecursionError:  # json.loads recurses per level; the writer does not
+    except RecursionError:  # json.loads recurses per level; documents nest 5 deep
         raise NotationError("store document nests too deep for the JSON reader") from None
     if not isinstance(doc, dict):
         raise NotationError("store document is not a JSON object")
-    if doc.get("version") != 1:
+    if doc.get("version") != 2:
         raise NotationError(f"unsupported store version {doc.get('version')!r}")
     try:
-        nodes = {}
-        for entry in doc["grammar"]["nodes"]:
-            span = _checked(entry["span"], _is_span, "a node span")
-            children = _checked(entry["children"], _is_int_list, "a node's children")
-            nodes[_checked(entry["id"], _is_int, "a node id")] = NodeMeta(
-                _checked(entry["kind"], _is_text, "a node kind"),
-                _checked(entry["detail"], _is_text, "a node detail"), tuple(span), tuple(children))
-        store = AnnotationStore(nodes, _checked(doc["grammar"]["root"],
-                                                lambda r: _is_int(r) and r in nodes,
-                                                "the grammar root"))
-        for entry in doc["annotations"]:
-            if not _is_int(entry["node"]) or entry["node"] not in nodes:
-                raise NotationError(f"annotation on unknown node {entry['node']!r} "
-                                    "in store document")
-            prov = entry.get("provenance")
-            provenance = Provenance(
-                _checked(prov["aspect"], _is_int, "a provenance aspect"),
-                _checked(prov["rule"], lambda r: r is None or _is_int(r), "a provenance rule"),
-            ) if prov else None
-            attr = _attribute(entry, _value_from_json(entry["value"]))
-            store.attach(entry["node"], Annotation((attr,)), provenance)
+        grammar = doc["grammar"]
+        tree = parse_grammar(_checked(grammar["text"], _is_str, "the grammar text"),
+                             _checked(grammar["source"], _is_str, "the grammar source"))
+        store = AnnotationStore(tree)
+        for entry in _checked(doc["annotations"], lambda v: type(v) is list, "the annotations"):
+            node, namespace, name, items, aspect, rule = _checked(
+                entry, lambda e: type(e) is list and len(e) == 6, "an annotation entry")
+            if not _is_int(node) or node not in tree.by_id:
+                raise NotationError(f"annotation on unknown node {node!r} in store document")
+            provenance = None if aspect is None and rule is None else Provenance(
+                _checked(aspect, _is_int, "a provenance aspect"),
+                _checked(rule, lambda r: r is None or _is_int(r), "a provenance rule"))
+            attr = Attribute(_checked(name, _is_str, "an attribute name"),
+                             _checked(namespace, _is_text, "an attribute namespace"), _value(items))
+            store.attach(node, Annotation((attr,)), provenance)
     except KeyError as exc:
         raise NotationError(f"store document lacks the field {exc}") from None
     except (AttributeError, TypeError) as exc:

@@ -248,7 +248,7 @@ def weave(tree: GrammarTree, aspects) -> AnnotationStore:
     earlier advice (a rule may first annotate broadly, then refine).
     Across rules and aspects, differing values are a conflict.
     """
-    store = AnnotationStore.for_tree(tree)
+    store = AnnotationStore(tree)
     errors = []
     for ai, aspect in enumerate(aspects):
         if aspect.grammar_annotation is not None:

@@ -690,8 +690,9 @@ class _Extractor:
         return None
 
 
-# a grammar tree's compiled tables, built on its first parse; a grammar tree
-# is frozen, so they never go stale, and they go when the tree does
+# a grammar tree's compiled tables, built on its first parse; nothing changes
+# a tree's nodes after parse_grammar returns (GtNode), so they never go
+# stale, and they go when the tree does
 _compiled: "weakref.WeakKeyDictionary[g.GrammarTree, _Compiled]" = weakref.WeakKeyDictionary()
 
 

@@ -811,51 +811,49 @@ def _ref_serialize_node(n: G.GtNode, wrap: tuple = ()) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Reference store writer: build the whole document as dicts and lists and let
-# json.dumps lay it out.  serialize_store must produce the same bytes.
+# Reference store writer: build each line as plain lists and let json.dumps
+# write it.  serialize_store must produce the same bytes.
 
 
-def _ref_value(value):
+def _ref_items(value) -> list:
+    """A value's flat pre-order item list, by recursion over its parts."""
     if value is None:
-        return None
+        return [["flag"]]
     if isinstance(value, IntValue):
-        return {"type": "int", "value": value.value}
+        return [["int", value.value]]
     if isinstance(value, StrValue):
-        return {"type": "str", "text": value.text}
+        return [["str", value.text]]
     if isinstance(value, NameValue):
-        return {"type": "name", "name": value.name}
+        return [["name", value.name]]
     if isinstance(value, PunctValue):
-        return {"type": "punct", "char": value.char}
+        return [["punct", value.char]]
     if isinstance(value, SeqValue):
-        return {"type": "seq", "items": [_ref_value(v) for v in value.items]}
+        return [["seq", len(value.items)]] + [i for v in value.items for i in _ref_items(v)]
     assert isinstance(value, RecordValue)
-    return {"type": "record",
-            "attributes": [{"namespace": a.namespace, "name": a.name,
-                            "value": _ref_value(a.value)}
-                           for a in value.annotation.attributes]}
+    attrs = value.annotation.attributes
+    out = [["record", len(attrs)]]
+    for a in attrs:
+        out += [["attr", a.namespace, a.name]] + _ref_items(a.value)
+    return out
 
 
 def reference_serialize_store(store) -> str:
-    nodes = []
-    for node_id in sorted(store._nodes):
-        meta = store.node_meta(node_id)
-        nodes.append({"id": node_id, "kind": meta.kind, "detail": meta.detail,
-                      "span": list(meta.span), "children": list(meta.children)})
-    annotations = []
+    def dumps(data):
+        return json.dumps(data, separators=(",", ":"))
+
+    tree = store.tree
+    head = dumps({"version": 2, "grammar": {"source": tree.origin, "text": tree.source},
+                  "annotations": []})
+    assert head.endswith("[]}")
+    entries = []
     for node_id in store.annotated_nodes():
         for attr in store.annotation_for(node_id).attributes:
             prov = attr.provenance
-            annotations.append({
-                "node": node_id,
-                "namespace": attr.namespace,
-                "name": attr.name,
-                "value": _ref_value(attr.value),
-                "provenance": {"aspect": prov.aspect, "rule": prov.rule} if prov else None,
-            })
-    doc = {"version": 1,
-           "grammar": {"root": store.root_id, "nodes": nodes},
-           "annotations": annotations}
-    return json.dumps(doc, indent=2) + "\n"
+            entries.append(dumps([node_id, attr.namespace, attr.name, _ref_items(attr.value),
+                                  prov.aspect if prov else None, prov.rule if prov else None]))
+    # the head line, one entry per line with a comma after all but the last, "]}"
+    return (head[:-2] + "\n" + "".join(e + ",\n" for e in entries[:-1])
+            + "".join(e + "\n" for e in entries[-1:]) + "]}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,8 @@ def test_criterion_3_highlight_snapshot(java5, highlight_store):
         assert deserialize_store(frozen) == highlight_store
         counts = {}
         for nid in highlight_store.annotated_nodes():
-            meta = highlight_store.node_meta(nid)
             group = highlight_store.lookup(nid, "group").name
-            key = (meta.kind, group)
+            key = (java5.by_id[nid].kind, group)
             counts[key] = counts.get(key, 0) + 1
         assert counts == {
             ("literal", "keyword"): 6,

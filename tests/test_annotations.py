@@ -9,9 +9,9 @@ from gramweave import (FLAG, Annotation, AnnotationStore, Attribute,
                        NotationError, Provenance, PunctValue, RecordValue,
                        SeqValue, StrValue, deserialize_store, parse_annotation,
                        parse_grammar, serialize_store, weave, parse_aspect)
-from gramweave.annotations import NodeMeta
 from gramweave.aspects import Subpattern
 from gramweave.grammar import iter_nodes
+from gramweave.scan import escape_string
 from support import fixture, random_grammar, reference_serialize_store
 
 
@@ -105,7 +105,7 @@ class TestStore:
         return next(n.id for n in iter_nodes(tree) if n.kind == "literal")
 
     def test_attach_idempotent(self, tree):
-        store = AnnotationStore.for_tree(tree)
+        store = AnnotationStore(tree)
         ann = parse_annotation("{ group = keyword }")
         nid = self.literal_id(tree)
         store.attach(nid, ann)
@@ -114,7 +114,7 @@ class TestStore:
         assert store.lookup(nid, "group") == NameValue("keyword")
 
     def test_attach_conflict(self, tree):
-        store = AnnotationStore.for_tree(tree)
+        store = AnnotationStore(tree)
         nid = self.literal_id(tree)
         store.attach(nid, parse_annotation("{ group = keyword }"), Provenance(0, 0))
         with pytest.raises(ConflictError) as exc:
@@ -126,16 +126,16 @@ class TestStore:
         assert "aspect 0 rule 0" in str(err) and "aspect 0 rule 1" in str(err)
 
     def test_attach_unknown_node(self, tree):
-        store = AnnotationStore.for_tree(tree)
+        store = AnnotationStore(tree)
         with pytest.raises(KeyError):
             store.attach(9999, parse_annotation("{ a = 1 }"))
 
     def test_lookup_absent(self, tree):
-        store = AnnotationStore.for_tree(tree)
+        store = AnnotationStore(tree)
         assert store.lookup(self.literal_id(tree), "group") is None
 
     def test_attribute_is_keyed_by_namespace_and_name(self, tree):
-        store = AnnotationStore.for_tree(tree)
+        store = AnnotationStore(tree)
         nid = self.literal_id(tree)
         store.attach(nid, parse_annotation("{ color = red;\nhtml:color = blue; f }"),
                      Provenance(1, 2))
@@ -184,14 +184,13 @@ class TestSerialization:
     def test_node_meta_of_woven_and_read_back_stores(self, java5, highlight_store):
         back = deserialize_store(serialize_store(highlight_store))
         for node in iter_nodes(java5):
-            meta = NodeMeta(node.kind, node.detail, node.span,
-                            tuple(c.id for c in node.children))
+            meta = (node.kind, node.detail, node.span, tuple(c.id for c in node.children))
             assert highlight_store.node_meta(node.id) == meta
             assert back.node_meta(node.id) == meta
 
     def test_round_trip_all_value_kinds(self):
         tree = parse_grammar("a : 'x' ;")
-        store = AnnotationStore.for_tree(tree)
+        store = AnnotationStore(tree)
         ann = parse_annotation(
             "{ i = 10; s = 'He\\'llo'; n = N; r = {x = {{ }} }; "
             "q = {{ 1 , nested {{ '+' }} }}; f }")
@@ -202,82 +201,95 @@ class TestSerialization:
         assert serialize_store(back) == text
 
     def test_grammar_shape_embedded(self, highlight_store):
-        import json
-        data = json.loads(serialize_store(highlight_store))
-        assert data["version"] == 1
-        assert data["grammar"]["root"] == 0
-        node_ids = [n["id"] for n in data["grammar"]["nodes"]]
+        text = serialize_store(highlight_store)
+        head, *lines, end = text.splitlines()
+        assert head.startswith('{"version":2,"grammar":{"source":"java5.g","text":"')
+        assert head.endswith('"},"annotations":[') and end == "]}"
+        data = json.loads(text)
+        assert data["version"] == 2
+        assert data["grammar"] == {"source": "java5.g", "text": fixture("java5.g")}
+        entries = data["annotations"]
+        assert [json.loads(line.rstrip(",")) for line in lines] == entries
+        node_ids = [e[0] for e in entries]
         assert node_ids == sorted(node_ids)
-        assert all(a["name"] == "group" for a in data["annotations"])
-        assert len(data["annotations"]) == 9
+        assert all(e[2] == "group" for e in entries)
+        assert len(entries) == 9
 
     @pytest.mark.parametrize("edit", [
         lambda doc: [],
         lambda doc: {k: v for k, v in doc.items() if k != "grammar"},
-        lambda doc: dict(doc, annotations=[dict(doc["annotations"][0], node=9999)]),
-        lambda doc: dict(doc, annotations=[dict(doc["annotations"][0],
-                                                value={"type": "int"})]),
+        lambda doc: with_entry(doc, node=9999),
+        lambda doc: with_entry(doc, value=[["int"]]),
         lambda doc: {k: v for k, v in doc.items() if k != "annotations"},
-        lambda doc: dict(doc, grammar=dict(doc["grammar"], nodes=5)),
-        lambda doc: dict(doc, annotations=[["node", 0]]),
-        lambda doc: dict(doc, annotations=[dict(doc["annotations"][0],
-                                                provenance=[0, None])]),
-        lambda doc: dict(doc, annotations=[dict(doc["annotations"][0],
-                                                value={"type": "int", "value": "x"})]),
-        lambda doc: dict(doc, annotations=[dict(doc["annotations"][0],
-                                                value={"type": "int", "value": True})]),
-        lambda doc: with_node(doc, span="ab"),
-        lambda doc: with_node(doc, span=[0]),
-        lambda doc: with_node(doc, span=[0, 1.5]),
-        lambda doc: with_node(doc, children="1"),
-        lambda doc: with_node(doc, children=[None]),
-        lambda doc: with_node(doc, kind=3),
-        lambda doc: with_node(doc, detail=["x"]),
-        lambda doc: with_node(doc, id="x"),
-        lambda doc: dict(doc, grammar=dict(doc["grammar"], root="x")),
-        lambda doc: dict(doc, grammar=dict(doc["grammar"], root=99)),
-        lambda doc: with_annotation(doc, node=True),
-        lambda doc: with_annotation(doc, name=3),
-        lambda doc: with_annotation(doc, name=None),
-        lambda doc: with_annotation(doc, namespace=3),
-        lambda doc: with_annotation(doc, provenance={"aspect": "x", "rule": None}),
-        lambda doc: with_annotation(doc, provenance={"aspect": 0, "rule": "x"}),
-        lambda doc: with_annotation(doc, value={"type": "str", "text": 3}),
-        lambda doc: with_annotation(doc, value={"type": "name", "name": 3}),
-        lambda doc: with_annotation(doc, value={"type": "punct", "char": 3}),
-        lambda doc: with_annotation(doc, value={"type": "record", "attributes": [
-            {"namespace": None, "name": 3, "value": None}]}),
-        lambda doc: with_annotation(doc, value={"type": "record", "attributes": [
-            {"namespace": 3, "name": "a", "value": None}]}),
+        lambda doc: dict(doc, annotations=[{"node": 0}]),
+        lambda doc: with_entry(doc, aspect=None, rule=0),
+        lambda doc: with_entry(doc, value=[["int", "x"]]),
+        lambda doc: with_entry(doc, value=[["int", True]]),
+        lambda doc: with_entry(doc, value=[[3, 1]]),
+        lambda doc: with_entry(doc, node="0"),
+        lambda doc: with_entry(doc, node=True),
+        lambda doc: with_entry(doc, name=3),
+        lambda doc: with_entry(doc, name=None),
+        lambda doc: with_entry(doc, namespace=3),
+        lambda doc: with_entry(doc, aspect="x"),
+        lambda doc: with_entry(doc, rule="x"),
+        lambda doc: with_entry(doc, value=[["str", 3]]),
+        lambda doc: with_entry(doc, value=[["name", 3]]),
+        lambda doc: with_entry(doc, value=[["punct", 3]]),
+        lambda doc: with_entry(doc, value=[["record", 1], ["attr", None, 3], ["flag"]]),
+        lambda doc: with_entry(doc, value=[["record", 1], ["attr", 3, "a"], ["flag"]]),
+        lambda doc: dict(doc, grammar=dict(doc["grammar"], text=["a : 'x' ;"])),
+        lambda doc: dict(doc, grammar=dict(doc["grammar"], text="a : 'x' ")),
+        lambda doc: dict(doc, version=1),
+        lambda doc: with_entry(doc, value=[["float", 1.5]]),
+        lambda doc: with_entry(doc, value=[["seq", 2], ["int", 1]]),
+        lambda doc: with_entry(doc, value=[["int", 1], ["int", 2]]),
+        lambda doc: with_entry(doc, value=[["seq", True], ["int", 1]]),
+        lambda doc: with_entry(doc, value=[]),
+        lambda doc: with_entry(doc, value=[["seq", 1], ["flag"]]),
+        lambda doc: with_entry(doc, value=[["record", 1], ["int", 1]]),
+        lambda doc: with_entry(doc, value=[["record", -1]]),
+        lambda doc: dict(doc, annotations=[[0, None, "n"]]),
     ], ids=["list", "no-grammar", "unknown-node", "int-without-value",
-            "no-annotations", "nodes-not-a-list", "entry-not-an-object",
-            "provenance-not-an-object", "int-value-a-string", "int-value-a-bool",
-            "span-a-string", "span-of-one", "span-of-a-float",
-            "children-a-string", "children-not-ints", "kind-an-int",
-            "detail-a-list", "id-a-string", "root-a-string", "root-unknown",
+            "no-annotations", "entry-not-a-list", "rule-without-aspect",
+            "int-value-a-string", "int-value-a-bool", "kind-an-int", "id-a-string",
             "node-a-bool", "name-an-int", "name-null", "namespace-an-int", "aspect-a-string",
             "rule-a-string", "str-value-an-int", "name-value-an-int",
-            "punct-value-an-int", "record-name-an-int", "record-namespace-an-int"])
+            "punct-value-an-int", "record-name-an-int", "record-namespace-an-int",
+            "text-not-a-string", "text-does-not-parse", "version-1", "item-type-unknown",
+            "count-past-the-end", "leftover-items", "count-a-bool", "no-items",
+            "flag-in-a-seq", "record-without-attr-head", "count-negative",
+            "entry-too-short"])
     def test_malformed_document(self, edit):
         tree = parse_grammar("a : 'x' ;")
-        store = AnnotationStore.for_tree(tree)
+        store = AnnotationStore(tree)
         store.attach(tree.root.id, parse_annotation("{ n = 1 }"), Provenance(0, None))
         doc = json.loads(serialize_store(store))
         assert deserialize_store(json.dumps(doc)) == store
         with pytest.raises(NotationError):
             deserialize_store(json.dumps(edit(doc)))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: dict(doc, version=1), "<string>: unsupported store version 1"),
+        (lambda doc: dict(doc, grammar=dict(doc["grammar"], text="a : 'x' ;\nb : ( 'y' ;")),
+         "<grammar>:2:11: expected ')'"),
+    ], ids=["version-1", "grammar-text"])
+    def test_rejection_message(self, edit, message):
+        doc = json.loads(serialize_store(AnnotationStore(parse_grammar("a : 'x' ;"))))
+        with pytest.raises(NotationError) as exc:
+            deserialize_store(json.dumps(edit(doc)))
+        assert str(exc.value) == message
 
-def with_node(doc, **fields):
-    """doc with fields replaced in its last grammar node."""
-    nodes = doc["grammar"]["nodes"]
-    return dict(doc, grammar=dict(doc["grammar"],
-                                  nodes=nodes[:-1] + [dict(nodes[-1], **fields)]))
+
+ENTRY_FIELDS = ("node", "namespace", "name", "value", "aspect", "rule")
 
 
-def with_annotation(doc, **fields):
-    """doc with fields replaced in its one annotation."""
-    return dict(doc, annotations=[dict(doc["annotations"][0], **fields)])
+def with_entry(doc, **fields):
+    """doc with fields replaced in its one annotation entry."""
+    entry = list(doc["annotations"][0])
+    for name, value in fields.items():
+        entry[ENTRY_FIELDS.index(name)] = value
+    return dict(doc, annotations=[entry])
 
 
 ANY = Multiplicity(0, None)
@@ -340,14 +352,10 @@ class TestWriterOracle:
 
     def test_hand_built(self):
         odd = "é中\U0001f600 'q' \"dq\" \\ \t\n\x00\x1f\x7f"
-        nodes = {
-            0: NodeMeta("grammar", None, (0, 40), (1, 4)),
-            1: NodeMeta("symbol_def", "rule", (0, 20), (2,)),
-            2: NodeMeta("production", None, (5, 19), (3,)),
-            3: NodeMeta("literal", odd, (6, 18), ()),
-            4: NodeMeta("symbol_def", "empty", (21, 40), ()),
-        }
-        store = AnnotationStore(nodes, 0)
+        tree = parse_grammar(f"rule : {escape_string(odd)} ;\nempty : #empty ;",
+                             "odd \"é\" \\ name.g")
+        assert tree.by_id[3].detail == odd and tree.by_id[4].detail == "empty"
+        store = AnnotationStore(tree)
         self.check(store)  # no annotations
         store.attach(0, parse_annotation("{ g = 1 }"))  # no provenance
         store.attach(3, Annotation((

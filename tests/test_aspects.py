@@ -4,14 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from gramweave import (ConflictError, DEFAULT_MULTIPLICITY, Multiplicity,
+from gramweave import (Annotation, ConflictError, DEFAULT_MULTIPLICITY, Multiplicity,
                        NameValue, NotationError, WeaveError, WeaveFailure,
                        match_rules, parse_aspect, parse_rule_pattern,
-                       parse_subpattern, serialize_store, weave)
+                       parse_annotation, parse_subpattern, serialize_store, weave)
 from gramweave.aspects import Aspect, Subpattern, VariableAnnotation
 from gramweave.patterns import RulePattern
+from gramweave.scan import lex
 from support import (FIXTURES, fixture, random_rule_pattern_text,
-                     reference_parse_aspect, reference_parse_rule_pattern,
+                     reference_parse_annotation, reference_parse_aspect,
+                     reference_parse_rule_pattern,
                      reference_parse_subpattern)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -316,19 +318,57 @@ class TestNotationOracle:
     def test_mutated_aspects(self, name):
         text = fixture(name)
         rng = random.Random(name)
-        alphabet = "{}[].#$@:;=|'\\²é/0123456789"
         outcomes = set()
         for _ in range(300):
-            chars = list(text)
-            for _ in range(rng.randint(1, 3)):
-                at = rng.randrange(len(chars) + 1)
-                roll = rng.random()
-                if roll < 0.4 or at == len(chars):
-                    chars.insert(at, rng.choice(alphabet))
-                elif roll < 0.7:
-                    chars[at] = rng.choice(alphabet)
-                else:
-                    del chars[at]
-            got = assert_same_outcome(parse_aspect, reference_parse_aspect, "".join(chars))
+            got = assert_same_outcome(parse_aspect, reference_parse_aspect, mutant(rng, text))
             outcomes.add(isinstance(got, Aspect))
         assert outcomes == {True, False}
+
+    def test_annotations_and_mutants(self):
+        texts = [t for name in ("highlight.aspect", "pretty.aspect")
+                 for t in annotation_texts(fixture(name))]
+        assert len(texts) == 12
+        rng = random.Random("annotations")
+        outcomes = set()
+        for text in texts + [mutant(rng, rng.choice(texts)) for _ in range(300)]:
+            got = assert_same_outcome(parse_annotation, reference_parse_annotation, text)
+            outcomes.add(isinstance(got, Annotation))
+        assert outcomes == {True, False}
+
+
+MUTANT_ALPHABET = "{}[].#$@:;=|'\\²é/0123456789"
+
+
+def mutant(rng, text):
+    """text with one to three characters inserted, replaced or deleted."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(chars) + 1)
+        roll = rng.random()
+        if roll < 0.4 or at == len(chars):
+            chars.insert(at, rng.choice(MUTANT_ALPHABET))
+        elif roll < 0.7:
+            chars[at] = rng.choice(MUTANT_ALPHABET)
+        else:
+            del chars[at]
+    return "".join(chars)
+
+
+def annotation_texts(aspect_text):
+    """The annotation texts of an aspect file: each '{' that opens the file
+    or follows a ':', up to its matching '}', where '{...}' is a production
+    wildcard, not an annotation.  Braces are counted over lexemes, so a
+    brace inside a string literal is not one."""
+    lexemes = lex(aspect_text)
+    texts = []
+    for i, (kind, _, start, end) in enumerate(lexemes):
+        wildcard = [lx[0] for lx in lexemes[i:i + 3]] == ["{", ".", "}"]
+        if kind != "{" or wildcard or i and lexemes[i - 1][0] != ":":
+            continue
+        depth = 0
+        for kind, _, _, end in lexemes[i:]:
+            depth += (kind == "{") - (kind == "}")
+            if not depth:
+                break
+        texts.append(aspect_text[start:end])
+    return texts

@@ -134,13 +134,13 @@ class TestCheck:
 
 
 class TestWeave:
-    def test_stdout_json(self, capsys, arith, empty_aspect):
+    def test_stdout_json(self, capsys, empty_aspect):
         code, out, err = run(capsys, "weave", ARITH, "-a", empty_aspect)
         assert (code, err) == (0, "")
         doc = json.loads(out)
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert doc["annotations"] == []
-        assert len(doc["grammar"]["nodes"]) == len(arith.by_id)
+        assert doc["grammar"] == {"source": ARITH, "text": fixture("arith.g")}
 
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         out_path = tmp_path / "store.json"
@@ -163,7 +163,7 @@ class TestWeave:
         out_path = tmp_path / "store.json"
         code, out, err = run(capsys, "weave", ARITH, "-a", str(aspect), "-o", str(out_path))
         assert (code, out, err) == (0, "", "")
-        assert out_path.read_text(encoding="utf-8").count(f'"type": "{kind}"') == 1000
+        assert out_path.read_text(encoding="utf-8").count(f'["{kind}",1]') == 1000
 
     def test_byte_deterministic(self, capsys, tmp_path):
         paths = [tmp_path / "one.json", tmp_path / "two.json"]
@@ -177,7 +177,7 @@ class TestWeave:
         _, out, _ = run(capsys, "weave", JAVA5, "-a", HIGHLIGHT)
         doc = json.loads(out)
         assert len(doc["annotations"]) == 9
-        rules = {a["provenance"]["rule"] for a in doc["annotations"]}
+        rules = {rule for *_, rule in doc["annotations"]}
         assert rules == {0, 1, 2}
 
 

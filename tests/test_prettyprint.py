@@ -240,7 +240,7 @@ class TestReadsOncePerCall:
     @pytest.fixture()
     def bad_paren(self, arith):
         # '(' carries a before program that does not decode
-        store = AnnotationStore.for_tree(arith)
+        store = AnnotationStore(arith)
         paren = next(n.id for n in arith.by_id.values()
                      if n.kind == "literal" and n.detail == "(")
         store.attach(paren, parse_annotation("{ before = 3 }"))

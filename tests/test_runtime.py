@@ -551,7 +551,7 @@ def random_backend_store(rng, tree):
     grammar's nodes, and now and then the defaults and indentUnit on its
     root.  A group that is no name or string (an int, a flag) is one the
     backend passes over."""
-    store = AnnotationStore.for_tree(tree)
+    store = AnnotationStore(tree)
     root = tree.root.id
     for node_id in tree.by_id:
         if node_id == root:
