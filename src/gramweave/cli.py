@@ -101,7 +101,8 @@ def _load(args):
     if not args.aspect:
         raise NotationError("at least one aspect file is required (-a FILE)",
                             "usage")
-    tree = parse_grammar(_read(args.grammar), args.grammar)
+    # one spelling per path, as the store document records it
+    tree = parse_grammar(_read(args.grammar), os.path.normpath(args.grammar))
     aspects = [parse_aspect(_read(p), p) for p in args.aspect]
     return tree, aspects
 

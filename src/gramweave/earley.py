@@ -10,19 +10,19 @@ earlier productions and alternative branches first and nonterminal spans
 shortest first, in which no nonterminal derives a span from inside its
 own derivation of that same span.
 
-No step recurses, so grammar nesting and input size are bounded by
-memory only.  The compiled tables are built once per grammar tree and
-kept while the tree lives.  The recognizer's items are ints; it indexes
-the items of each Earley set by the nonterminal they wait on, so a
-completion advances just those items, and a prediction looks one token
-ahead, so it adds only the productions that can start with that token or
-that the chart needs for an empty completion.  The chart is one table of
-completions by end, nonterminal and origin.  The one extractor reads
-split points from it (Scott, *SPPF-style parsing from Earley
-recognisers*, 2008) where the compiled tables leave them open: an element
-that only terminals follow has a forced end, and one that a single
-nonterminal follows ends where that nonterminal starts.  It checks the
-cycle clause only where a cycle of unit links makes it matter.
+No step recurses, so grammar nesting and input size are bounded by memory
+only.  The compiled tables are built once per grammar tree and kept while
+the tree lives.  The recognizer's items are ints, indexed per Earley set
+by the nonterminal they wait on, so a completion advances just those.  It
+walks only the items that start before a set: the set's own, which its
+predictions add looking one token ahead, are compiled once per
+(nonterminals first waited on, token) into a closure the sets share.  The
+chart is one table of completions by end, nonterminal and origin.  The
+one extractor reads split points from it (Scott, *SPPF-style parsing from
+Earley recognisers*, 2008) where the compiled tables leave them open: an
+element that only terminals follow has a forced end, and one that a
+single nonterminal follows ends where that nonterminal starts.  It checks
+the cycle clause only where a cycle of unit links makes it matter.
 
 The resulting tree mirrors the grammar's own shape.  Rule applications
 carry the defined symbol's node id and production index; alternatives,
@@ -234,7 +234,7 @@ class _Compiled:
     the nonterminals with such a production, among them every nullable one,
     whose empty completion the chart records whatever follows.  `lead[s]`,
     by a production's first state, is None for such a production, else its
-    FIRST set.
+    FIRST set.  `closures` memoizes `closure`, the items an Earley set adds.
 
     `loops` holds the states before an element that can take its
     production's whole span and reaches the production's nonterminal again
@@ -330,7 +330,7 @@ class _Compiled:
         self.skip = [a in nullable for a in after]
         self.lead = {s: None if a is None or a in wakes else {a} if a < 0 else first[a]
                      for s in firsts for a in (after[s],)}
-        self._predicted: Dict[int, list] = {}
+        self.closures: Dict[tuple, tuple] = {}  # see closure
 
         # unit links: a production of K may give one of its nonterminals K's
         # whole span when the elements before it are nullable (but K : K ')'
@@ -360,19 +360,39 @@ class _Compiled:
         self.guarded = {nt: [c for c in reach[nt] if nt in reach[c]]
                         for s, nt, a in unit if s in self.loops}
 
-    def predicted(self, code: int) -> list:
-        """Per nonterminal, the first states of the productions that a
-        prediction before a token of this code adds: those whose `lead`
-        is None or holds the code.  No other production can scan the token,
-        complete before it or lead to a completion before it.  Built on the
-        first use of each code."""
-        table = self._predicted.get(code)
-        if table is None:
-            lead = self.lead
-            table = self._predicted[code] = [
-                starts and [s for s in starts if lead[s] is None or code in lead[s]]
-                for starts in self.starts]
-        return table
+    def closure(self, key: tuple) -> tuple:
+        """The items an Earley set adds itself, each a state, keyed by the
+        nonterminals first waited on in it by items of earlier origins, in
+        order, and its token's code.  A prediction adds the productions
+        whose `lead` is None or holds the code: no other one can scan the
+        token or lead to a completion before it.  Returns the advanced
+        states that scan the code; per nonterminal, the advanced states
+        waiting on it; the empty completions as (nonterminal, production
+        bits); and what the set expects: the symbols after a dot and the
+        FIRST sets of the predictions.  What completes empty is nullable,
+        so its waits advance by `skip`."""
+        wanted, code = key
+        after, starts, lead = self.after, self.starts, self.lead
+        waits: Dict[int, list] = {a: [] for a in wanted}
+        scans, done = [], {}  # done: nonterminal -> production bits
+        states = [s for a in wanted for s in starts[a] if lead[s] is None or code in lead[s]]
+        for state in states:  # states grows while it is walked
+            a = after[state]
+            if a is None:
+                done[self.lhs[state]] = done.get(self.lhs[state], 0) | self.bit[state]
+            elif a >= 0:
+                if a not in waits:  # each nonterminal is predicted once
+                    waits[a] = []
+                    states += [s for s in starts[a] if lead[s] is None or code in lead[s]]
+                waits[a].append(state + 1)
+                if self.skip[state]:
+                    states.append(state + 1)
+            elif a == code:
+                scans.append(state + 1)
+        expected = {after[s] for s in states}.union(*(self.first[a] for a in waits))
+        return self.closures.setdefault(key, (
+            tuple(scans), {a: tuple(w) for a, w in waits.items() if w}, tuple(done.items()),
+            frozenset(expected)))
 
     def _symbol(self, tree: g.GrammarTree, elem: g.GtNode) -> int:
         """The nonterminal or terminal code an element stands for."""
@@ -401,41 +421,35 @@ def _token_codes(cg: _Compiled, tokens: List[Token]) -> List[int]:
 def _recognize(cg: _Compiled, start: int, tokens: List[Token], codes: List[int]):
     """Run the recognizer; return the chart's completions or raise ParseError.
 
-    The chart is one table, `chart[end][nt]`, that maps each origin, in
-    the order its first completion came, to the bit set of nt's
-    productions that derive the tokens from that origin to end.  An item
-    is the int `state * (n + 1) + origin`, so advancing its dot adds
-    n + 1.  An Earley set is dropped once the next one is built, and only
-    the items waiting on a nonterminal stay, indexed by that nonterminal,
-    until the parse ends.
+    The chart is one table, `chart[end][nt]`, that maps each origin to the
+    bit set of nt's productions that derive the tokens from that origin to
+    end.  An item is the int `state * (n + 1) + origin`, so advancing its
+    dot adds n + 1.  A set is dropped once the next is built; its waits stay.
 
-    A prediction looks one token ahead (`_Compiled.predicted`).  The
-    productions it leaves out could add nothing to the chart: they can
-    neither scan the token nor lead to a completion before it.  So the
-    chart holds exactly what predicting every production would give.  A
-    failure reports what such a set would expect: the terminals after a
-    dot in the set, and the FIRST sets of the nonterminals predicted in it.
-
-    Only an item whose dot follows a nonterminal can be reached twice in
-    one set, by a completion or by skipping a nullable nonterminal, so only
-    those are kept in `seen`.  A production's first state is reached only
-    by predicting its nonterminal, once per set; the start symbol counts as
-    predicted in set 0.
+    Set i walks only the items of earlier origins, which scanned its token
+    or which completions advance.  The nonterminals they first wait on and
+    the token's code key the items of origin i, compiled once
+    (`_Compiled.closure`; Aycock & Horspool, *Practical Earley Parsing*,
+    2002, section 5); a later completion with origin i advances the
+    closure's waits beside set i's own.  A prediction's left-out
+    productions add nothing, so the chart and a failure's expected tokens
+    are those of predicting every production.  Only an item whose dot
+    follows a nonterminal can be reached twice in a set, so `seen` has those.
     """
-    after, lhs, bit, skip = cg.after, cg.lhs, cg.bit, cg.skip
+    after, lhs, bit, skip, closures = cg.after, cg.lhs, cg.bit, cg.skip, cg.closures
     n = len(tokens)
     width = n + 1
     chart: List[Dict[int, Dict[int, int]]] = []
     waiters: List[Dict[int, list]] = []  # per set: nonterminal -> advanced items
-    items = [s * width for s in cg.predicted(codes[0] if n else 0)[start]]
+    shared: List[Dict[int, tuple]] = []  # per set: its closure's waits
+    items, wanted = [], [start]  # wanted: the nonterminals first waited on in the set
     for i in range(width):
         seen = set()
-        waiting: Dict[int, list] = {start: []} if i == 0 else {}
+        waiting: Dict[int, list] = {}
         waiters.append(waiting)
         done: Dict[int, Dict[int, int]] = {}
         chart.append(done)
         code = codes[i] if i < n else 0
-        predicted = cg.predicted(code)
         scanned = []
         append = items.append
         for item in items:  # items grows while it is walked
@@ -455,36 +469,41 @@ def _recognize(cg: _Compiled, start: int, tokens: List[Token], codes: List[int])
                     if item not in seen:
                         seen.add(item)
                         append(item)
+                for s in shared[origin].get(nt, ()):
+                    item = s * width + origin
+                    if item not in seen:
+                        seen.add(item)
+                        append(item)
             elif a >= 0:
                 item += width
                 wait = waiting.get(a)
                 if wait is None:
                     waiting[a] = [item]
-                    for s in predicted[a]:
-                        append(s * width + i)
+                    wanted.append(a)
                 else:
                     wait.append(item)
-                # a nullable nonterminal may already have completed here
-                # (Aycock & Horspool, Practical Earley Parsing, 2002)
+                # a nullable nonterminal has already completed here (Aycock & Horspool)
                 if skip[state] and item not in seen:
                     seen.add(item)
                     append(item)
             elif a == code:
                 scanned.append(item + width)
+        key = (tuple(wanted), code)
+        scans, waits, empties, expected = closures.get(key) or cg.closure(key)
+        shared.append(waits)
+        for nt, bits in empties:
+            done.setdefault(nt, {})[i] = bits
+        for s in scans:
+            scanned.append(s * width + i)
         if not scanned:
             break
         items = scanned
+        wanted = []
     if i == n and 0 in done.get(start, ()):
         return chart
-    if i < n:
-        position = tokens[i].span[0]
-        what = f"unexpected {tokens[i].display}"
-    else:
-        position = tokens[-1].span[1] if tokens else 0
-        what = "unexpected end of input"
-    expected = {after[item // width] for item in items}
-    for nt in waiting:
-        expected |= cg.first[nt]
+    what = f"unexpected {tokens[i].display}" if i < n else "unexpected end of input"
+    position = tokens[i].span[0] if i < n else tokens[-1].span[1] if tokens else 0
+    expected = expected.union(after[item // width] for item in items)
     raise ParseError(what, position, tuple(sorted(
         cg.display[a] for a in expected if a is not None and a < 0)))
 

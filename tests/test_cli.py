@@ -173,6 +173,15 @@ class TestWeave:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_path_spellings_give_one_document(self, capsys, monkeypatch):
+        # an absolute and a relative path to one file still differ
+        monkeypatch.chdir(FIXTURES.parent.parent)
+        outs = [run(capsys, "weave", path, "-a", HIGHLIGHT)
+                for path in ("tests/fixtures/java5.g", "./tests/fixtures/java5.g",
+                             "tests//fixtures/../fixtures/java5.g")]
+        assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0][1])["grammar"]["source"] == "tests/fixtures/java5.g"
+
     def test_provenance_recorded(self, capsys):
         _, out, _ = run(capsys, "weave", JAVA5, "-a", HIGHLIGHT)
         doc = json.loads(out)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import random
@@ -13,7 +14,7 @@ from gramweave import (Annotation, AnnotationStore, Attribute, IntValue,
                        parse_grammar, parse_input, parse_lexer_spec,
                        serialize_grammar, token_contexts, tokenize)
 from gramweave.grammar import literal_texts
-from gramweave.earley import _Compiled
+from gramweave.earley import _Compiled, _Extractor
 from support import (LanguageTooLarge, context_lists, dataclass_node,
                      dataclass_repr, enumerate_language, fixture, java_class_text,
                      nested_arith_text, oracle_accepts, oracle_compile,
@@ -29,6 +30,13 @@ FIXTURE_INPUTS = [
     ("java5.g", "normalClassDeclaration", "generics.java"),
     ("java5.g", "typeParameters", "typeparams.txt"),
     ("java14.g", "classDeclaration", "classbody.java"),
+]
+
+# grammars over ID and NUM whose chart rows often hold several origins
+NULLABLE_HEAVY = [
+    "s : ID s : ID ;",
+    "s : a b c ;\na : ID? b? ;\nb : (NUM | #empty)* ;\nc : a* ID? | #empty ;",
+    "s : (a | NUM) s? ;\na : #empty : b ;\nb : ID* a ;",
 ]
 
 
@@ -847,8 +855,9 @@ class TestRecognizerOracle:
     """Differential test: the recognizer, over int items with one token of
     lookahead, against reference_recognize, which predicts every production
     over (state, origin) tuples.  Both read one set of compiled tables; the
-    completions, with their production bit sets and the order of their
-    origins, and every ParseError must be equal."""
+    completions, with their production bit sets, and every ParseError must
+    be equal.  The order of a row's origins may differ, as the extractor
+    reads none (test_row_order_does_not_matter)."""
 
     @staticmethod
     def outcome(recognize, cg, start, tokens, codes):
@@ -869,9 +878,9 @@ class TestRecognizerOracle:
         return [{nt: {o: ends[nt * width + o][end] for o in found}
                  for nt, found in row.items()} for end, row in enumerate(origins)]
 
-    def assert_same(self, tree, start, tokens):
-        """True if the tokens were accepted."""
-        cg = _Compiled(tree)
+    def assert_same(self, tree, start, tokens, cg=None):
+        """True if the tokens were accepted; `cg` defaults to new tables."""
+        cg = cg or _Compiled(tree)
         nt = tree.rule_index[start].id
         codes = earley._token_codes(cg, tokens)
         got = self.outcome(earley._recognize, cg, nt, tokens, codes)
@@ -881,9 +890,9 @@ class TestRecognizerOracle:
         assert got == want, (serialize_grammar(tree), start, token_shape(tokens))
         if want[0] == "error":
             return False
-        # dicts compare without order, so the origins' order is compared too
-        for done, listed in zip(got, want):
-            assert all(list(row) == list(listed[nt]) for nt, row in done.items())
+        # dicts compare without order, and a row's own origin comes last
+        for end, done in enumerate(got):
+            assert all(end not in row or list(row)[-1] == end for row in done.values())
         return True
 
     @pytest.mark.parametrize("grammar, start, name", FIXTURE_INPUTS)
@@ -891,10 +900,14 @@ class TestRecognizerOracle:
         tree, lexer, text = fixture_input(request, grammar, name)
         assert self.assert_same(tree, start, tokenize(lexer, tree, text))
 
-    def test_random_grammars(self):
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def random_cases() -> list:
+        """60 seeded random grammars, each with its start rule and token
+        shapes: random ones and sentences of its language.  Built once, as
+        enumerating the languages takes most of the time."""
         rng = random.Random(20261019)
-        accepted = rejected = 0
-        kinds = set()
+        cases = []
         for _ in range(60):
             tree = random_grammar(rng)
             start = tree.root.children[0].detail
@@ -910,6 +923,13 @@ class TestRecognizerOracle:
                     tree, start, max_len=5, cap=2000), 6)
             except LanguageTooLarge:
                 pass
+            cases.append((tree, start, shapes))
+        return cases
+
+    def test_random_grammars(self):
+        accepted = rejected = 0
+        kinds = set()
+        for tree, start, shapes in self.random_cases():
             cg = _Compiled(tree)
             kinds.add((bool(cg.loops), bool(cg.nullable)))
             for shape in shapes:
@@ -922,11 +942,7 @@ class TestRecognizerOracle:
         assert {cyclic for cyclic, _ in kinds} == {False, True}
         assert {nullable for _, nullable in kinds} == {False, True}
 
-    @pytest.mark.parametrize("text", [
-        "s : ID s : ID ;",
-        "s : a b c ;\na : ID? b? ;\nb : (NUM | #empty)* ;\nc : a* ID? | #empty ;",
-        "s : (a | NUM) s? ;\na : #empty : b ;\nb : ID* a ;",
-    ])
+    @pytest.mark.parametrize("text", NULLABLE_HEAVY)
     def test_right_recursive_and_nullable_heavy(self, text):
         tree = parse_grammar(text)
         start = tree.root.children[0].detail
@@ -982,6 +998,89 @@ class TestRecognizerOracle:
             tokens = tokens_for(shape)
             for k in range(len(tokens) + 1):
                 assert not self.assert_same(tree, start, tokens[:k] + [unknown] + tokens[k:])
+
+    @staticmethod
+    def assert_order_free(tree, start, tokens):
+        """The extractor gives the same steps and contexts, or the same
+        error, on the recognizer's chart and on a copy with every row's
+        origins reversed; returns how many rows hold two or more origins."""
+        cg = _Compiled(tree)
+        nt = tree.rule_index[start].id
+        codes = earley._token_codes(cg, tokens)
+        try:
+            chart = earley._recognize(cg, nt, tokens, codes)
+        except ParseError:
+            return 0
+        flipped = [{a: dict(reversed(row.items())) for a, row in done.items()}
+                   for done in chart]
+        outcomes = []
+        for table in (chart, flipped):
+            try:
+                outcomes.append(_Extractor(cg, codes, table).build(nt))
+            except Exception as exc:  # an error must match too
+                outcomes.append((type(exc), exc.args))
+        assert outcomes[0] == outcomes[1], (serialize_grammar(tree), start, token_shape(tokens))
+        return sum(len(row) > 1 for done in chart for row in done.values())
+
+    @pytest.mark.parametrize("grammar, start, name", FIXTURE_INPUTS)
+    def test_row_order_does_not_matter(self, request, grammar, start, name):
+        # these charts hold one origin per row, so reversing changes nothing
+        tree, lexer, text = fixture_input(request, grammar, name)
+        assert self.assert_order_free(tree, start, tokenize(lexer, tree, text)) == 0
+
+    def test_row_order_does_not_matter_on_random_grammars(self):
+        cases = list(self.random_cases())
+        symbols = [("term", "ID"), ("term", "NUM")]
+        cases += [(parse_grammar(text), "s", [shape for length in range(6)
+                                              for shape in itertools.product(symbols, repeat=length)])
+                  for text in NULLABLE_HEAVY]
+        reversed_rows = sum(self.assert_order_free(tree, start, tokens_for(shape))
+                            for tree, start, shapes in cases for shape in shapes)
+        assert reversed_rows >= 1000, reversed_rows
+
+    def test_shared_prediction_goes_in_once(self):
+        # in the set after `x`, `a` and `b` are first waited on together and
+        # both predict `c`: its scan and its waits go in once
+        tree = parse_grammar("s : x a | x b ;\nx : ID ;\na : c ID ;\nb : c NUM ;\nc : ID ;")
+        cg = _Compiled(tree)
+        for length in range(5):
+            for shape in itertools.product([("term", "ID"), ("term", "NUM")], repeat=length):
+                self.assert_same(tree, "s", tokens_for(shape), cg)
+        a, b, c = (tree.rule_index[name].id for name in "abc")
+        scans, waits, _, _ = cg.closures[(a, b), cg.codes[("term", "ID")]]
+        assert scans == (cg.starts[c][0] + 1,)
+        assert waits[c] == (cg.starts[a][0] + 1, cg.starts[b][0] + 1)
+        for scans, waits, _, _ in cg.closures.values():
+            for states in (scans, *waits.values()):
+                assert len(set(states)) == len(states)
+
+    def test_nullable_chain_advances_own_origin_waits(self):
+        # `a`, `b` and `c` complete empty in every set; `a` completes over
+        # NUM or NUM NUM with origin 0, which advances the waits of set 0
+        tree = parse_grammar("s : a ID ;\na : b c ;\nb : c ;\nc : NUM? ;")
+        cg = _Compiled(tree)
+        accepted = [shape for length in range(6)
+                    for shape in itertools.product([("term", "ID"), ("term", "NUM")],
+                                                   repeat=length)
+                    if self.assert_same(tree, "s", tokens_for(shape), cg)]
+        assert [len(shape) for shape in accepted] == [1, 2, 3]
+
+    def test_error_from_a_memoized_closure(self):
+        # the set after '[' fails on ID with the closure that the set after
+        # '(' built: same first waits, same token
+        tree = parse_grammar("s : '(' a ID | '[' a ;\na : NUM? ;")
+        cg = _Compiled(tree)
+        for shape in [("(", "ID"), ("[", "NUM")]:
+            assert self.assert_same(tree, "s", tokens_for(
+                [("lit", shape[0]), ("term", shape[1])]), cg)
+        built = dict(cg.closures)
+        assert not self.assert_same(tree, "s", tokens_for([("lit", "["), ("term", "ID")]), cg)
+        assert cg.closures == built
+        with pytest.raises(ParseError) as caught:
+            earley._recognize(cg, tree.rule_index["s"].id,
+                              tokens_for([("lit", "["), ("term", "ID")]),
+                              [cg.codes[("lit", "[")], cg.codes[("term", "ID")]])
+        assert caught.value.expected == ("NUM",)
 
 
 class TestCompiledOnce:
